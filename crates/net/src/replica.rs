@@ -46,7 +46,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -90,6 +90,9 @@ impl ReplicaConfig {
     }
 }
 
+/// One replica's objects.
+pub(crate) type Store = HashMap<ObjKey, Vec<u8>>;
+
 /// Per-shard state shared between every replica thread and every client:
 /// the fencing epoch, the active-replica pointer, ship progress, and
 /// liveness flags.
@@ -110,6 +113,14 @@ pub(crate) struct ReplicaShared {
     /// Liveness per replica: cleared by kills and by clients that
     /// observed a disconnect or health timeout.
     pub alive: Vec<AtomicBool>,
+    /// Per replica: set by `stall_replica` before the `Stall` request is
+    /// queued, cleared by the replica thread when the gate opens. Reads
+    /// of a stalled replica take the channel path and queue behind it.
+    pub stalled: Vec<AtomicBool>,
+    /// Each replica's object store. Its thread takes the write lock to
+    /// apply trains, removes, ships and crashes; clients read the active
+    /// store in their own thread on the fetch fast path.
+    pub stores: Vec<RwLock<Store>>,
     /// Serializes the takeover handshake across clients.
     pub failover_lock: Mutex<()>,
 }
@@ -123,6 +134,8 @@ impl ReplicaShared {
             shipped: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             alive: (0..replicas).map(|_| AtomicBool::new(true)).collect(),
+            stalled: (0..replicas).map(|_| AtomicBool::new(false)).collect(),
+            stores: (0..replicas).map(|_| RwLock::default()).collect(),
             failover_lock: Mutex::new(()),
         }
     }
@@ -253,7 +266,7 @@ pub(crate) fn replica_loop(
     events: Arc<FleetEventLog>,
     cfg: ReplicaConfig,
 ) {
-    let mut store: HashMap<ObjKey, Vec<u8>> = HashMap::new();
+    let store = &shared.stores[my_idx];
     let mut resident = 0u64;
     // Keys put since the last durability barrier (BTreeSet: deterministic
     // drop order on crash, mirroring ChaosTransport).
@@ -309,25 +322,34 @@ pub(crate) fn replica_loop(
             || fence < shared.fencing_epoch.load(Ordering::SeqCst)
     };
 
-    let apply_train = |store: &mut HashMap<ObjKey, Vec<u8>>,
-                       resident: &mut u64,
-                       unacked: &mut BTreeSet<ObjKey>,
-                       objs: &[(ObjKey, Vec<u8>)]| {
-        for (k, data) in objs {
-            *resident += data.len() as u64;
-            if let Some(old) = store.insert(*k, data.clone()) {
-                *resident -= old.len() as u64;
+    // Store writes hold the lock only while they touch the map, never
+    // across a ship or a barrier wait, so fast-path readers never block
+    // behind replication.
+    let apply_train =
+        |resident: &mut u64, unacked: &mut BTreeSet<ObjKey>, objs: &[(ObjKey, Vec<u8>)]| {
+            let mut store = store.write().expect("replica store");
+            for (k, data) in objs {
+                *resident += data.len() as u64;
+                if let Some(old) = store.insert(*k, data.clone()) {
+                    *resident -= old.len() as u64;
+                }
+                unacked.insert(*k);
             }
-            unacked.insert(*k);
+        };
+    let remove = |resident: &mut u64, unacked: &mut BTreeSet<ObjKey>, key: &ObjKey| {
+        if let Some(old) = store.write().expect("replica store").remove(key) {
+            *resident -= old.len() as u64;
         }
+        unacked.remove(key);
     };
 
     while let Ok(req) = rx.recv() {
         match req {
             ReplicaRequest::Fetch(k, reply) => {
+                let bytes = store.read().expect("replica store").get(&k).cloned();
                 let _ = reply.send(ReplicaResponse::Data {
                     from: my_idx,
-                    bytes: store.get(&k).cloned(),
+                    bytes,
                 });
             }
             ReplicaRequest::Train { objs, fence, reply } => {
@@ -345,7 +367,7 @@ pub(crate) fn replica_loop(
                 counters
                     .train_objects
                     .fetch_add(objs.len() as u64, Ordering::Relaxed);
-                apply_train(&mut store, &mut resident, &mut unacked, &objs);
+                apply_train(&mut resident, &mut unacked, &objs);
                 ship(&mut peer, ShipDelta::Train(objs));
                 let _ = reply.send(ReplicaResponse::Done);
             }
@@ -360,15 +382,13 @@ pub(crate) fn replica_loop(
                     let _ = reply.send(ReplicaResponse::Fenced);
                     continue;
                 }
-                if let Some(old) = store.remove(&key) {
-                    resident -= old.len() as u64;
-                }
-                unacked.remove(&key);
+                remove(&mut resident, &mut unacked, &key);
                 ship(&mut peer, ShipDelta::Remove(key));
                 let _ = reply.send(ReplicaResponse::Done);
             }
             ReplicaRequest::Contains(k, reply) => {
-                let _ = reply.send(ReplicaResponse::Bool(store.contains_key(&k)));
+                let has = store.read().expect("replica store").contains_key(&k);
+                let _ = reply.send(ReplicaResponse::Bool(has));
             }
             ReplicaRequest::ResidentBytes(reply) => {
                 let _ = reply.send(ReplicaResponse::Bytes(resident));
@@ -408,6 +428,8 @@ pub(crate) fn replica_loop(
             }
             ReplicaRequest::Digest(reply) => {
                 let v: Vec<(ObjKey, u64)> = store
+                    .read()
+                    .expect("replica store")
                     .iter()
                     .map(|(k, b)| (*k, crate::sharded::fnv64(b)))
                     .collect();
@@ -416,6 +438,7 @@ pub(crate) fn replica_loop(
             ReplicaRequest::Crash(reply) => {
                 counters.crashes.fetch_add(1, Ordering::Relaxed);
                 shared.generation.fetch_add(1, Ordering::SeqCst);
+                let mut store = store.write().expect("replica store");
                 for k in std::mem::take(&mut unacked) {
                     if let Some(old) = store.remove(&k) {
                         resident -= old.len() as u64;
@@ -427,6 +450,7 @@ pub(crate) fn replica_loop(
             ReplicaRequest::Stall(gate) => {
                 // Blocks until every sender for the gate is dropped.
                 let _ = gate.recv();
+                shared.stalled[my_idx].store(false, Ordering::SeqCst);
             }
             ReplicaRequest::Replicate { from, delta } => {
                 // Sender fencing: apply only if the shipper is still the
@@ -436,14 +460,9 @@ pub(crate) fn replica_loop(
                 if shared.active.load(Ordering::SeqCst) as usize == from {
                     match delta {
                         ShipDelta::Train(objs) => {
-                            apply_train(&mut store, &mut resident, &mut unacked, &objs);
+                            apply_train(&mut resident, &mut unacked, &objs);
                         }
-                        ShipDelta::Remove(key) => {
-                            if let Some(old) = store.remove(&key) {
-                                resident -= old.len() as u64;
-                            }
-                            unacked.remove(&key);
-                        }
+                        ShipDelta::Remove(key) => remove(&mut resident, &mut unacked, &key),
                         ShipDelta::FlushAck => unacked.clear(),
                     }
                 } else {

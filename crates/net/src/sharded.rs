@@ -1,9 +1,10 @@
 //! Sharded remote tier: N shard server threads behind one [`Transport`]
 //! facade, serving many concurrent worker VMs.
 //!
-//! Grown from the [`crate::threaded`] seam ("two machines" over bounded
-//! channels), this module adds the concurrent data plane of the serving
-//! story:
+//! Each replica runs on its own OS thread behind a bounded channel ("two
+//! machines" over a link; one unreplicated shard is the plain two-machine
+//! configuration). On top of that this module builds the concurrent data
+//! plane of the serving story:
 //!
 //! - **Sharding** — objects hash to one of N shards, each owning an
 //!   independent store, generation counter and unacked set (the crash
@@ -22,6 +23,25 @@
 //!   a bounded window of unacknowledged trains keeps the pipeline async
 //!   without unbounded queueing. A train is retained until acked so a
 //!   failover mid-flight can replay it against the new primary.
+//!
+//! ## Two read paths
+//!
+//! Every replica's store sits behind an `RwLock` its thread writes under.
+//! A fetch whose answer cannot differ from the channel round trip is
+//! served on the **fast path**: the client reads the active replica's
+//! store in its own thread. That holds when the active replica is alive,
+//! is not stalled (`stall_replica` flags it before the stall is queued),
+//! and this client has no departed-but-unacked train to the shard (FIFO
+//! would apply such a train before a channel fetch; the pending buffer
+//! already serves keys that have not departed). Every other read takes
+//! the **channel path** — coalescer, hedging, health timeout and failover
+//! retry — and so still crosses the replica thread: reads of a killed,
+//! suspect or stalled replica, and reads behind this client's own unacked
+//! trains. Both paths charge the same modeled cycles and record the same
+//! tap records, spans and gauges; a fast-path read counts as one
+//! `wire_fetches` transfer. The coalescer therefore engages only on the
+//! channel path, and healthy runs report about zero `coalesced_hits`.
+//! Writes, removes, flushes and control requests always use the channel.
 //!
 //! ## Determinism contract
 //!
@@ -90,6 +110,23 @@ impl Default for ShardedConfig {
             tap_capacity: DEFAULT_TAP_CAPACITY,
             span_log_capacity: DEFAULT_SPAN_LOG_CAPACITY,
             replica: ReplicaConfig::default(),
+        }
+    }
+}
+
+impl ShardedConfig {
+    /// One unreplicated shard with one-object trains: the plain
+    /// cross-thread "two machines" transport, costed like
+    /// [`crate::transport::SimTransport`].
+    pub fn single_server() -> Self {
+        ShardedConfig {
+            shards: 1,
+            train_len: 1,
+            replica: ReplicaConfig {
+                replicas: 1,
+                ..ReplicaConfig::default()
+            },
+            ..ShardedConfig::default()
         }
     }
 }
@@ -376,6 +413,8 @@ impl ShardedServer {
     /// Stall one specific replica of shard `i`.
     pub fn stall_replica(&self, i: usize, r: usize) -> StallGuard {
         let (tx, rx) = sync_channel::<()>(1);
+        // Flag first, so no fast-path read overtakes the queued stall.
+        self.sets[i].shared.stalled[r].store(true, Ordering::SeqCst);
         let _ = self.sets[i].txs[r].send(ReplicaRequest::Stall(rx));
         StallGuard { _tx: tx }
     }
@@ -748,6 +787,25 @@ impl ShardedClient {
         Err(NetError::Disconnected)
     }
 
+    /// The fetch fast path: read the active replica's store in this thread
+    /// when the answer cannot differ from the channel round trip — the
+    /// replica is alive and not stalled, and none of this client's trains
+    /// to the shard is still unacked (FIFO would apply those before a
+    /// channel fetch). `None` sends the read down the channel path.
+    fn direct_fetch(&self, shard: usize, key: ObjKey) -> Option<Result<Vec<u8>, NetError>> {
+        let set = &self.shards[shard];
+        let active = set.shared.active_idx();
+        if !set.window.is_empty()
+            || !set.shared.alive[active].load(Ordering::SeqCst)
+            || set.shared.stalled[active].load(Ordering::SeqCst)
+        {
+            return None;
+        }
+        self.counters.wire_fetches.fetch_add(1, Ordering::Relaxed);
+        let store = set.shared.stores[active].read().expect("replica store");
+        Some(store.get(&key).cloned().ok_or(NetError::NotFound(key)))
+    }
+
     /// Fetch through the coalescer: first-comer leads the transfer,
     /// concurrent callers for the same key follow its result.
     fn coalesced_fetch(&self, key: ObjKey) -> Result<Vec<u8>, NetError> {
@@ -817,7 +875,10 @@ impl ShardedClient {
         }
         self.tap
             .record(WireDir::Send, op, key.ds, key.index, 0, true, self.ctx);
-        let bytes = match self.coalesced_fetch(key) {
+        let fetched = self
+            .direct_fetch(shard, key)
+            .unwrap_or_else(|| self.coalesced_fetch(key));
+        let bytes = match fetched {
             Ok(b) => b,
             Err(e) => {
                 self.tap
@@ -1308,6 +1369,72 @@ mod tests {
         let s = srv.sharded_stats();
         assert_eq!(s.coalesced_hits, 1, "second miss must coalesce");
         assert_eq!(s.wire_fetches, 1, "only one transfer crosses the wire");
+    }
+
+    #[test]
+    fn unacked_train_keeps_reads_on_the_channel_path() {
+        let srv = server(1);
+        let mut c = srv.client();
+        // Hold the primary so the train below stays queued and unapplied,
+        // and hide the stall from the fast path: only the window check
+        // keeps the read-your-writes fetch off the stale store.
+        let gate = srv.stall_shard(0);
+        srv.sets[0].shared.stalled[0].store(false, Ordering::SeqCst);
+        for i in 0..8u64 {
+            c.put(key(0, i), &[i as u8 + 1; 64]).unwrap();
+        }
+        assert!(c.shards[0].buf.is_empty(), "train_len puts depart a train");
+        assert_eq!(c.shards[0].window.len(), 1);
+        let counters = Arc::clone(&srv.counters);
+        let reader = std::thread::spawn(move || c.fetch(key(0, 3)).map(|f| f.bytes));
+        while counters.wire_fetches.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        gate.release();
+        assert_eq!(reader.join().unwrap(), Ok(vec![4u8; 64]));
+    }
+
+    #[test]
+    fn fast_and_channel_reads_account_identically() {
+        let run = |stall: bool| {
+            let srv = server(2);
+            let mut setup = srv.client();
+            for i in 0..16u64 {
+                setup.put(key(1, i), &[i as u8; 256]).unwrap();
+            }
+            setup.flush().unwrap();
+            let mut c = srv.client();
+            c.set_trace_context(TraceContext { trace: 9, span: 4 });
+            // Stalled shards force the reads onto the channel path until
+            // another thread releases them.
+            let gates: Vec<StallGuard> = if stall {
+                (0..2).map(|i| srv.stall_shard(i)).collect()
+            } else {
+                Vec::new()
+            };
+            let reader = std::thread::spawn(move || {
+                for i in 0..16u64 {
+                    assert_eq!(c.fetch(key(1, i)).unwrap().bytes, vec![i as u8; 256]);
+                }
+                c
+            });
+            while stall && srv.sharded_stats().wire_fetches == 0 {
+                std::thread::yield_now();
+            }
+            drop(gates);
+            let c = reader.join().unwrap();
+            let log = c.server_span_log();
+            (
+                c.stats(),
+                log.spans().to_vec(),
+                log.residue(),
+                c.wire_tap().unwrap().records().copied().collect::<Vec<_>>(),
+                srv.sharded_stats().wire_fetches,
+            )
+        };
+        let fast = run(false);
+        assert_eq!(fast.4, 16, "an in-thread read counts as a wire transfer");
+        assert_eq!(fast, run(true));
     }
 
     #[test]

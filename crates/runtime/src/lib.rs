@@ -569,12 +569,13 @@ mod tests {
 
     #[test]
     fn disconnected_emits_terminal_failure_event() {
-        use cards_net::{NetError, ThreadedTransport};
-        // Kill the worker out from under the runtime: the write-back must
-        // surface Disconnected (not retry forever) and emit a net_abort
-        // carrying the attempt count.
-        let mut t = ThreadedTransport::spawn(NetworkModel::default());
-        t.kill_server();
+        use cards_net::{NetError, ShardedConfig, ShardedServer};
+        // Kill the only replica out from under the runtime: the write-back
+        // must surface Disconnected (not retry forever) and emit a
+        // net_abort carrying the attempt count.
+        let srv = ShardedServer::spawn(ShardedConfig::single_server(), NetworkModel::default());
+        srv.kill_shard(0);
+        let t = srv.client();
         let mut r = FarMemRuntime::new(RuntimeConfig::new(0, 1 << 20), t);
         let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
         let (p, _) = r.ds_alloc(h, 4096).unwrap();
@@ -594,6 +595,69 @@ mod tests {
             })
             .collect();
         assert_eq!(aborts, vec![1], "terminal failure on first attempt");
+    }
+
+    #[test]
+    fn flush_racing_a_crash_replays_the_journal() {
+        use cards_net::{Fetched, NetError, NetStats, ObjKey, Transport};
+        // The first flush crashes the store before acking: every put since
+        // the last flush drops and the generation bumps, as when a restart
+        // lands between a train's departure and the flush barrier.
+        struct CrashingFlush {
+            inner: SimTransport,
+            unacked: Vec<ObjKey>,
+            generation: u64,
+        }
+        impl Transport for CrashingFlush {
+            fn fetch(&mut self, key: ObjKey) -> Result<Fetched, NetError> {
+                self.inner.fetch(key)
+            }
+            fn rtt_cost(&self) -> u64 {
+                self.inner.rtt_cost()
+            }
+            fn put(&mut self, key: ObjKey, data: &[u8]) -> Result<u64, NetError> {
+                self.unacked.push(key);
+                self.inner.put(key, data)
+            }
+            fn remove(&mut self, key: ObjKey) -> Result<u64, NetError> {
+                self.inner.remove(key)
+            }
+            fn flush(&mut self) -> Result<u64, NetError> {
+                for key in std::mem::take(&mut self.unacked) {
+                    if self.generation == 0 {
+                        self.inner.remove(key)?;
+                    }
+                }
+                self.generation = 1;
+                Ok(0)
+            }
+            fn generation(&self) -> u64 {
+                self.generation
+            }
+            fn contains(&self, key: ObjKey) -> bool {
+                self.inner.contains(key)
+            }
+            fn stats(&self) -> NetStats {
+                self.inner.stats()
+            }
+            fn remote_bytes(&self) -> u64 {
+                self.inner.remote_bytes()
+            }
+        }
+        let t = CrashingFlush {
+            inner: SimTransport::default(),
+            unacked: Vec::new(),
+            generation: 0,
+        };
+        let mut r = FarMemRuntime::new(RuntimeConfig::new(0, 1 << 20).with_journal(1), t);
+        let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
+        let (p, _) = r.ds_alloc(h, 4096).unwrap();
+        r.write_u64(p, 77).unwrap();
+        r.evacuate(p).unwrap(); // put, then a flush the crash races
+        assert_eq!(r.journal_len(), 0, "the second flush acked the replay");
+        assert_eq!(r.stats().journal_replays, 1);
+        r.guard(p, Access::Read, 8).unwrap();
+        assert_eq!(r.read_u64(p).unwrap().0, 77, "journaled object survives");
     }
 
     #[test]

@@ -1291,6 +1291,18 @@ impl<T: Transport> FarMemRuntime<T> {
                 Ok(c) => {
                     *cycles += c;
                     self.tracer.leaf(SpanKind::Flush, 0, 0, c, 0);
+                    // A crash or failover that landed while the flush was
+                    // in flight may have dropped journaled objects before
+                    // the barrier acked: replay them and flush again.
+                    if self.transport.generation() != self.last_generation {
+                        if attempts > self.cfg.max_retries || self.check_generation(cycles).is_err()
+                        {
+                            self.stats.flush_failures += 1;
+                            self.puts_since_flush = 0;
+                            return;
+                        }
+                        continue;
+                    }
                     self.journal.clear();
                     self.puts_since_flush = 0;
                     return;
@@ -2416,12 +2428,6 @@ impl<T: Transport> FarMemRuntime<T> {
     /// Borrow the transport (tests/diagnostics).
     pub fn transport(&self) -> &T {
         &self.transport
-    }
-
-    /// Mutable transport access — fault injection (e.g. killing a
-    /// [`cards_net::ThreadedTransport`] server mid-run) in tests.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
     }
 
     /// The telemetry sink: event ring, latency histograms, epoch series.

@@ -82,6 +82,9 @@ pub struct Vm<T: Transport> {
     runtime: FarMemRuntime<T>,
     cpu: CpuModel,
     native: Vec<u8>,
+    /// End of the last heap `Alloc` in `native`: a returning frame frees
+    /// its stack slots down to here at most.
+    heap_end: usize,
     global_addr: Vec<u64>,
     /// Remoting hints per DsMeta id, fixed at VM construction.
     hints: Vec<StaticHint>,
@@ -140,6 +143,7 @@ impl<T: Transport> Vm<T> {
             runtime,
             cpu: CpuModel::default(),
             native,
+            heap_end: 0,
             global_addr: Vec::new(),
             hints,
             registrations: Vec::new(),
@@ -248,6 +252,7 @@ impl<T: Transport> Vm<T> {
         if depth > self.max_depth {
             return Err(VmError::StackOverflow);
         }
+        let stack_mark = self.native.len();
         let ninsts = self.module.func(fid).insts.len();
         let mut regs: Vec<u64> = vec![0; ninsts];
         let mut block = self.module.func(fid).entry();
@@ -286,6 +291,7 @@ impl<T: Transport> Vm<T> {
                         let sz = self.eval(size, &args, &regs);
                         self.charge(self.cpu.alloc);
                         let addr = self.native_alloc(sz);
+                        self.heap_end = self.native.len();
                         regs[iid.0 as usize] = addr;
                     }
                     Inst::AllocStack { ty } => {
@@ -427,7 +433,11 @@ impl<T: Transport> Vm<T> {
                     }
                     Inst::Ret { val } => {
                         self.charge(self.cpu.branch);
-                        return Ok(val.map(|v| self.eval(v, &args, &regs)));
+                        let ret = val.map(|v| self.eval(v, &args, &regs));
+                        // Pop this frame's stack slots (heap allocations
+                        // made since entry stay).
+                        self.native.truncate(stack_mark.max(self.heap_end));
+                        return Ok(ret);
                     }
                     Inst::DsInit { meta } => {
                         let spec = spec_from_meta(&self.module, self.module.ds_meta(meta));
@@ -638,4 +648,39 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cards_ir::FunctionBuilder;
+    use cards_net::SimTransport;
+
+    #[test]
+    fn returning_frames_pop_their_stack_slots() {
+        let mut m = Module::new("slots");
+        let mut b = FunctionBuilder::new("bump", vec![Type::I64], Type::I64);
+        let slot = b.alloca(Type::I64);
+        b.store(slot, b.arg(0), Type::I64);
+        let v = b.load(slot, Type::I64);
+        let r = b.add(v, b.iconst(1));
+        b.ret(r);
+        m.add_function(b.finish());
+        let mut vm = Vm::new(
+            m,
+            RuntimeConfig::new(1 << 20, 1 << 20),
+            SimTransport::default(),
+            RemotingPolicy::Linear,
+            100,
+        );
+        let len = vm.native.len();
+        let mut per_call = None;
+        for _ in 0..10_000 {
+            let c0 = vm.metrics().cycles;
+            assert_eq!(vm.run("bump", &[41]).unwrap(), Some(42));
+            let c = vm.metrics().cycles - c0;
+            assert_eq!(*per_call.get_or_insert(c), c, "modeled cost per call");
+            assert_eq!(vm.native.len(), len, "stack slot leaked");
+        }
+    }
 }

@@ -19,8 +19,7 @@
 //! server's shared atomic counters and is reported, never asserted equal.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -215,90 +214,132 @@ pub fn run_serving(
     run_serving_with_faults(module, spec, base_cfg, policy, k_percent, &[])
 }
 
-/// Bumps a shared counter when dropped — workers signal completion to the
-/// fault controller even on an error or panic path, so the controller can
-/// never strand the scope.
-struct CountOnDrop<'a>(&'a AtomicUsize);
-
-impl Drop for CountOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
-    }
+/// Request tickets and the fault gate between workers and the fault
+/// controller. A worker draws a ticket before each request; a ticket at
+/// or above the next unapplied fault's threshold waits until the
+/// controller has applied that fault, so every scripted fault lands at
+/// its request count however fast requests run.
+struct FaultGate<'a> {
+    script: &'a [ScriptedFault],
+    workers: usize,
+    state: Mutex<GateState>,
+    cv: Condvar,
 }
 
-/// Spin until `served` reaches `target`, every worker is done, or the
-/// optional real-time `deadline` passes. Returns whether the target was
-/// actually reached (vs. bailed out).
-fn wait_served(
-    served: &AtomicU64,
-    finished: &AtomicUsize,
-    workers: usize,
-    target: u64,
-    deadline: Option<Instant>,
-) -> bool {
-    let mut spins = 0u32;
-    loop {
-        if served.load(Ordering::SeqCst) >= target {
-            return true;
+#[derive(Default)]
+struct GateState {
+    /// Request tickets drawn.
+    tickets: u64,
+    /// Requests completed, failed ones included.
+    served: u64,
+    /// Script entries applied so far.
+    applied: usize,
+    /// Workers gone (finished, failed or panicked).
+    exited: usize,
+    /// Workers parked at the gate.
+    waiting: usize,
+}
+
+impl<'a> FaultGate<'a> {
+    fn new(script: &'a [ScriptedFault], workers: usize) -> Self {
+        FaultGate {
+            script,
+            workers,
+            state: Mutex::new(GateState::default()),
+            cv: Condvar::new(),
         }
-        if finished.load(Ordering::SeqCst) >= workers {
-            return false;
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().expect("fault gate")
+    }
+
+    fn update(&self, f: impl FnOnce(&mut GateState)) {
+        f(&mut self.lock());
+        self.cv.notify_all();
+    }
+
+    /// Draw a request ticket, waiting out every fault due at or before it.
+    fn ticket(&self) {
+        let mut st = self.lock();
+        let t = st.tickets;
+        st.tickets += 1;
+        while self
+            .script
+            .get(st.applied)
+            .is_some_and(|f| f.after_requests <= t)
+        {
+            st.waiting += 1;
+            self.cv.notify_all();
+            st = self.cv.wait(st).expect("fault gate");
+            st.waiting -= 1;
         }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return false;
+    }
+
+    /// Wait until `target` requests completed, or no worker can complete
+    /// another (all gone or parked), or the optional `deadline` passes.
+    fn wait_served(&self, target: u64, deadline: Option<Instant>) {
+        let mut st = self.lock();
+        while st.served < target && st.exited + st.waiting < self.workers {
+            match deadline {
+                None => st = self.cv.wait(st).expect("fault gate"),
+                Some(d) => {
+                    let Some(left) = d.checked_duration_since(Instant::now()) else {
+                        return;
+                    };
+                    st = self.cv.wait_timeout(st, left).expect("fault gate").0;
+                }
             }
         }
-        spins = spins.wrapping_add(1);
-        if spins > 1 << 12 {
-            thread::sleep(Duration::from_micros(50));
-        } else {
-            thread::yield_now();
-        }
     }
 }
 
-/// The fault controller: applies each scripted fault once the tier-wide
-/// issued-request counter crosses its threshold. Stalls are held for
-/// their scripted span (with a real-time escape hatch so a fully blocked
-/// tier can never deadlock the harness) and always released here.
-fn drive_faults(
-    server: &ShardedServer,
-    script: &[ScriptedFault],
-    served: &AtomicU64,
-    finished: &AtomicUsize,
-    workers: usize,
-) {
+/// Marks a worker gone when dropped — even on an error or panic path, so
+/// the fault controller can never strand the scope.
+struct ExitOnDrop<'a>(&'a FaultGate<'a>);
+
+impl Drop for ExitOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.update(|st| st.exited += 1);
+    }
+}
+
+/// The fault controller: applies each scripted fault once every request
+/// ticketed below its threshold has completed, then opens the gate for the
+/// requests parked behind it. Stalls are held for their scripted span
+/// (with a real-time escape hatch so a fully blocked tier can never
+/// deadlock the harness) and always released here.
+fn drive_faults(server: &ShardedServer, gate: &FaultGate) {
     // A stalled tier with no health timeout stops issuing requests, so
     // every hold also carries a wall-clock bound.
     const STALL_ESCAPE: Duration = Duration::from_secs(5);
-    for f in script {
-        wait_served(served, finished, workers, f.after_requests, None);
+    for (i, f) in gate.script.iter().enumerate() {
+        gate.wait_served(f.after_requests, None);
+        let applied = || gate.update(|st| st.applied = i + 1);
         match f.kind {
             FaultKind::KillPrimary => server.kill_shard(f.shard),
             FaultKind::KillBackup => server.kill_backup(f.shard),
             FaultKind::CrashRestart => server.crash_shard(f.shard),
             FaultKind::Stall { hold_requests } => {
-                let gate = server.stall_shard(f.shard);
-                let base = served.load(Ordering::SeqCst);
-                wait_served(
-                    served,
-                    finished,
-                    workers,
+                let stall = server.stall_shard(f.shard);
+                let base = gate.lock().served;
+                applied();
+                gate.wait_served(
                     base.saturating_add(hold_requests),
                     Some(Instant::now() + STALL_ESCAPE),
                 );
-                gate.release();
+                stall.release();
             }
             FaultKind::KillDuringFailover => {
                 let old = server.active_replica(f.shard);
-                let gate = server.stall_replica(f.shard, old);
+                let stall = server.stall_replica(f.shard, old);
                 let base = server.sharded_stats().failover_attempts;
+                applied();
                 // Wait for some client to *begin* the takeover (needs a
                 // health timeout in the replica config to ever happen).
                 let t0 = Instant::now();
                 while server.sharded_stats().failover_attempts == base
-                    && finished.load(Ordering::SeqCst) < workers
+                    && gate.lock().exited < gate.workers
                     && t0.elapsed() < STALL_ESCAPE
                 {
                     thread::yield_now();
@@ -306,12 +347,14 @@ fn drive_faults(
                 let attempted = server.sharded_stats().failover_attempts > base;
                 // Release first: a stalled replica cannot drain its
                 // queue, and kill() joins the serve thread.
-                gate.release();
+                stall.release();
                 if attempted {
                     server.kill_replica(f.shard, old);
                 }
             }
         }
+        // A stall opened the gate as soon as it was in place.
+        applied();
     }
 }
 
@@ -332,8 +375,7 @@ pub fn run_serving_with_faults(
 ) -> Result<ServeReport, String> {
     let workers = spec.workers.max(1);
     let tolerate = !script.is_empty();
-    let served = AtomicU64::new(0);
-    let finished = AtomicUsize::new(0);
+    let gate = FaultGate::new(script, workers);
     let server = ShardedServer::spawn(spec.net, spec.model);
     // Clients are handed out before spawning so worker i always gets
     // client i (deterministic construction order).
@@ -351,8 +393,8 @@ pub fn run_serving_with_faults(
 
     let mut reports: Vec<WorkerReport> = thread::scope(|scope| {
         if tolerate {
-            let (server, served, finished) = (&server, &served, &finished);
-            scope.spawn(move || drive_faults(server, script, served, finished, workers));
+            let (server, gate) = (&server, &gate);
+            scope.spawn(move || drive_faults(server, gate));
         }
         let mut handles = Vec::with_capacity(workers);
         for (w, client) in clients.into_iter().enumerate() {
@@ -362,10 +404,10 @@ pub fn run_serving_with_faults(
             // manages its share; the sum never exceeds the total budget.
             cfg.remotable_bytes = (base_cfg.remotable_bytes / workers as u64).max(4096);
             let (setup_lock, serve_gate) = (&setup_lock, &serve_gate);
-            let (served, finished) = (&served, &finished);
+            let gate = &gate;
             handles.push(scope.spawn(move || -> Result<WorkerReport, String> {
                 // Signals the fault controller even on error or panic.
-                let _done = CountOnDrop(finished);
+                let _done = ExitOnDrop(gate);
                 let mut vm = Vm::new(module, cfg, client, policy, k_percent);
                 let loaded = (|| {
                     let _load = setup_lock.lock().expect("setup lock");
@@ -390,10 +432,11 @@ pub fn run_serving_with_faults(
                     tenants += 1;
                     for i in 0..spec.ops_per_tenant {
                         issued += 1;
+                        gate.ticket();
                         let c0 = vm.metrics().cycles;
                         let n0 = vm.runtime().net_stats();
                         let r = vm.run("request", &[t, i]);
-                        served.fetch_add(1, Ordering::SeqCst);
+                        gate.update(|st| st.served += 1);
                         match r {
                             Ok(v) => {
                                 checksum = checksum.wrapping_add(v.unwrap_or(0) as i64);
