@@ -1,7 +1,8 @@
 //! Minimal dependency-free JSON reader for the CLI's own exports
-//! (`cards-ttrace-v1`, `cards-flight-v1`, bench schemas). Supports the
-//! subset those emitters produce: objects, arrays, strings without
-//! escapes beyond `\"` `\\` `\n` `\t`, integers, floats, booleans, null.
+//! (`cards-ttrace-v1`, `cards-flight-v1`, bench schemas). Supports
+//! objects, arrays, strings with every JSON escape (so whatever
+//! `cards_runtime::telemetry::json_str` writes reads back), integers,
+//! floats, booleans, null.
 //! Object keys keep insertion order so diffs render in emitter order.
 
 /// A parsed JSON value.
@@ -135,8 +136,13 @@ fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
                 match b.get(*i) {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
+                    Some(b'u') => out.push(unicode_escape(b, i)?),
                     Some(c) => return Err(format!("unsupported escape \\{}", *c as char)),
                     None => return Err("unterminated escape".into()),
                 }
@@ -152,6 +158,29 @@ fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
         }
     }
     Err("unterminated string".into())
+}
+
+/// Decode the `\uXXXX` escape whose `u` is at `b[*i]` (a UTF-16
+/// surrogate pair spans two escapes), leaving `*i` on its last hex digit.
+fn unicode_escape(b: &[u8], i: &mut usize) -> Result<char, String> {
+    let hex4 = |at: usize| {
+        b.get(at..at + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    };
+    let start = *i;
+    let mut c = hex4(*i + 1)?;
+    *i += 4;
+    if (0xD800..0xDC00).contains(&c) && b.get(*i + 1..*i + 3) == Some(b"\\u") {
+        let lo = hex4(*i + 3)?;
+        if (0xDC00..0xE000).contains(&lo) {
+            c = 0x10000 + ((c - 0xD800) << 10) + (lo - 0xDC00);
+            *i += 6;
+        }
+    }
+    char::from_u32(c).ok_or_else(|| format!("unpaired surrogate in \\u escape at byte {start}"))
 }
 
 fn obj(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
@@ -258,6 +287,27 @@ mod tests {
             "]".repeat(MAX_DEPTH + 1)
         );
         assert!(parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn reads_back_every_string_the_escaper_writes() {
+        let mut text: String = (0u8..0x20).map(char::from).collect();
+        text.push_str("\"\\/ kv\"x\\y é \u{1F600}");
+        let mut doc = String::from("{\"k\":");
+        cards_runtime::telemetry::json_str(&mut doc, &text);
+        doc.push('}');
+        assert_eq!(parse(&doc).unwrap().str_of("k"), text);
+    }
+
+    #[test]
+    fn reads_every_json_escape() {
+        let j = parse(r#"["\/\b\f\r\u00e9\u0041\ud83d\ude00"]"#).unwrap();
+        assert_eq!(
+            j,
+            Json::Arr(vec![Json::Str("/\u{8}\u{c}\ré\u{41}\u{1F600}".into())])
+        );
+        assert!(parse(r#""\u12""#).is_err(), "short \\u escape");
+        assert!(parse(r#""\ud800""#).is_err(), "unpaired surrogate");
     }
 
     #[test]

@@ -560,6 +560,26 @@ mod tests {
     }
 
     #[test]
+    fn quoted_module_name_survives_export_and_diff() {
+        let dir = std::env::temp_dir().join("cards_cli_ttrace_quoted");
+        let p = kv_ir(&dir);
+        let src = std::fs::read_to_string(&p).unwrap();
+        let (_, body) = src.split_once('\n').unwrap();
+        let q = dir.join("q.ir");
+        std::fs::write(&q, format!("module kv\"x\\y\n{body}")).unwrap();
+        let (q, d) = (q.to_string_lossy(), dir.to_string_lossy());
+        let j = format!("{d}/q.json");
+        cmd_ttrace(&args(&format!(
+            "ttrace {q} --json {j} --out {d}/q.txt --flight-dir {d}"
+        )))
+        .expect("ttrace of a module with a quoted name");
+        let export = jsonx::parse(&std::fs::read_to_string(&j).unwrap()).unwrap();
+        assert_eq!(export.str_of("module"), "kv\"x\\y");
+        let out = format!("{d}/diff.txt");
+        cmd_ttrace(&args(&format!("ttrace diff {j} {j} --out {out}"))).expect("diff");
+    }
+
+    #[test]
     fn diff_rejects_wrong_schema() {
         let dir = std::env::temp_dir().join("cards_cli_ttrace_schema");
         std::fs::create_dir_all(&dir).unwrap();

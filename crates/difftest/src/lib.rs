@@ -392,91 +392,104 @@ pub fn pressure_matrix() -> Vec<RunConfig> {
     v
 }
 
-fn observe_run<T: cards_net::Transport>(mut vm: Vm<T>) -> Observation {
+fn observe_run<T: cards_net::Transport>(vm: &mut Vm<T>) -> Observation {
     match vm.run("main", &[]) {
         Ok(ret) => Observation {
             ret,
             digest: vm.global_u64("digest"),
             error: None,
         },
-        Err(e) => Observation {
-            ret: None,
-            digest: None,
-            error: Some(e.to_string()),
-        },
+        Err(e) => failed(e.to_string()),
     }
+}
+
+fn failed(error: String) -> Observation {
+    Observation {
+        ret: None,
+        digest: None,
+        error: Some(error),
+    }
+}
+
+/// The one compile path every matrix cell runs through: the module is
+/// optimized, re-verified (a pass that emits malformed IR is reported as an
+/// error observation rather than crashing the VM), then — for the far
+/// pipelines — compiled. `Err` is that error observation.
+fn prepare(m: &Module, pipeline: Pipeline) -> Result<Module, Observation> {
+    let mut module = m.clone();
+    optimize(&mut module);
+    if let Some(e) = verify_module(&module).first() {
+        return Err(failed(format!("post-optimize verify failed: {e:?}")));
+    }
+    let opts = match pipeline {
+        Pipeline::OptOnly => return Ok(module),
+        Pipeline::TrackFm => CompileOptions::trackfm(),
+        Pipeline::Cards => CompileOptions::cards(),
+    };
+    compile(module, opts)
+        .map(|c| c.module)
+        .map_err(|e| failed(format!("compile failed: {e}")))
+}
+
+/// A chaos cell's VM. The retry budget must cover the schedule's longest
+/// all-fail window (bounded at <= 12 ops by a cards-net test).
+fn chaos_vm(module: Module, cfg: &RunConfig, sched: ChaosSchedule) -> Vm<ChaosTransport> {
+    Vm::new(
+        module,
+        RuntimeConfig::new(cfg.pinned, cfg.cache).with_max_retries(32),
+        ChaosTransport::new(sched),
+        cfg.policy,
+        cfg.k,
+    )
+}
+
+/// The same cell on a clean transport with full budgets: the cycle
+/// baseline the chaos and pressure tables compare against.
+fn clean_cycles(module: Module, cfg: &RunConfig) -> u64 {
+    let mut vm = Vm::new(
+        module,
+        RuntimeConfig::new(cfg.pinned, cfg.cache),
+        SimTransport::default(),
+        cfg.policy,
+        cfg.k,
+    );
+    let _ = vm.run("main", &[]);
+    vm.runtime().stats().cycles
 }
 
 /// Run `m` untransformed and unoptimized on plain local memory — the ground
 /// truth every configuration is compared against.
 pub fn observe_oracle(m: &Module) -> Observation {
-    let vm = Vm::new(
+    let mut vm = Vm::new(
         m.clone(),
         RuntimeConfig::new(1 << 30, 1 << 30),
         SimTransport::default(),
         RemotingPolicy::Linear,
         100,
     );
-    observe_run(vm)
+    observe_run(&mut vm)
 }
 
-/// Run `m` under one matrix cell. The module is optimized, re-verified (a
-/// pass that emits malformed IR is reported as an error observation rather
-/// than crashing the VM), then — for the far pipelines — compiled and
-/// executed against a fault-injecting transport.
+/// Run `m` under one matrix cell: [`prepare`] it, then execute it — for
+/// the far pipelines against a fault-injecting transport.
 pub fn observe(m: &Module, cfg: &RunConfig) -> Observation {
-    let mut module = m.clone();
-    optimize(&mut module);
-    let errs = verify_module(&module);
-    if !errs.is_empty() {
-        return Observation {
-            ret: None,
-            digest: None,
-            error: Some(format!("post-optimize verify failed: {:?}", errs[0])),
-        };
-    }
-    let opts = match cfg.pipeline {
-        Pipeline::OptOnly => {
-            let vm = Vm::new(
-                module,
-                RuntimeConfig::new(cfg.pinned, cfg.cache),
-                SimTransport::default(),
-                cfg.policy,
-                cfg.k,
-            );
-            return observe_run(vm);
-        }
-        Pipeline::TrackFm => CompileOptions::trackfm(),
-        Pipeline::Cards => CompileOptions::cards(),
+    let module = match prepare(m, cfg.pipeline) {
+        Ok(module) => module,
+        Err(obs) => return obs,
     };
-    let compiled = match compile(module, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return Observation {
-                ret: None,
-                digest: None,
-                error: Some(format!("compile failed: {e}")),
-            }
-        }
-    };
-    if let Some(sched) = cfg.chaos.schedule() {
-        // The retry budget must cover the schedule's longest all-fail
-        // window (bounded at <= 12 ops by a cards-net test).
-        let vm = Vm::new(
-            compiled.module,
-            RuntimeConfig::new(cfg.pinned, cfg.cache).with_max_retries(32),
-            ChaosTransport::new(sched),
-            cfg.policy,
-            cfg.k,
-        );
-        return observe_run(vm);
-    }
     let mut rt_cfg = RuntimeConfig::new(cfg.pinned, cfg.cache);
+    if cfg.pipeline == Pipeline::OptOnly {
+        let mut vm = Vm::new(module, rt_cfg, SimTransport::default(), cfg.policy, cfg.k);
+        return observe_run(&mut vm);
+    }
+    if let Some(sched) = cfg.chaos.schedule() {
+        return observe_run(&mut chaos_vm(module, cfg, sched));
+    }
     if cfg.pressure != PressureSpec::None {
         rt_cfg = rt_cfg.with_pressure(PressureConfig::governed());
     }
     let mut vm = Vm::new(
-        compiled.module,
+        module,
         rt_cfg,
         FaultyTransport::new(SimTransport::default(), cfg.fault.rate, cfg.fault.seed),
         cfg.policy,
@@ -485,7 +498,7 @@ pub fn observe(m: &Module, cfg: &RunConfig) -> Observation {
     if let Some(sched) = cfg.pressure.schedule() {
         vm.runtime_mut().set_pressure_schedule(sched);
     }
-    observe_run(vm)
+    observe_run(&mut vm)
 }
 
 /// Resilience counters harvested from one chaos run (plus its clean twin's
@@ -518,48 +531,19 @@ pub fn observe_chaos(m: &Module, cfg: &RunConfig) -> (Observation, ChaosRunStats
         .chaos
         .schedule()
         .expect("observe_chaos requires a chaos cell");
-    let mut module = m.clone();
-    optimize(&mut module);
-    let opts = match cfg.pipeline {
-        Pipeline::OptOnly => panic!("chaos cells are far-memory cells"),
-        Pipeline::TrackFm => CompileOptions::trackfm(),
-        Pipeline::Cards => CompileOptions::cards(),
-    };
-    let compiled = match compile(module, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                Observation {
-                    ret: None,
-                    digest: None,
-                    error: Some(format!("compile failed: {e}")),
-                },
-                ChaosRunStats::default(),
-            )
-        }
-    };
-    let mut vm = Vm::new(
-        compiled.module.clone(),
-        RuntimeConfig::new(cfg.pinned, cfg.cache).with_max_retries(32),
-        ChaosTransport::new(sched),
-        cfg.policy,
-        cfg.k,
+    assert!(
+        cfg.pipeline != Pipeline::OptOnly,
+        "chaos cells are far-memory cells"
     );
-    let obs = match vm.run("main", &[]) {
-        Ok(ret) => Observation {
-            ret,
-            digest: vm.global_u64("digest"),
-            error: None,
-        },
-        Err(e) => Observation {
-            ret: None,
-            digest: None,
-            error: Some(e.to_string()),
-        },
+    let module = match prepare(m, cfg.pipeline) {
+        Ok(module) => module,
+        Err(obs) => return (obs, ChaosRunStats::default()),
     };
+    let mut vm = chaos_vm(module.clone(), cfg, sched);
+    let obs = observe_run(&mut vm);
     let rt = vm.runtime();
     let g = rt.stats();
-    let mut stats = ChaosRunStats {
+    let stats = ChaosRunStats {
         retries: g.retries,
         timeouts: g.timeouts,
         corrupt_fetches: g.corrupt_fetches,
@@ -570,17 +554,8 @@ pub fn observe_chaos(m: &Module, cfg: &RunConfig) -> (Observation, ChaosRunStats
             .map(|s| s.breaker_trips)
             .sum(),
         chaos_cycles: g.cycles,
-        clean_cycles: 0,
+        clean_cycles: clean_cycles(module, cfg),
     };
-    let mut clean_vm = Vm::new(
-        compiled.module,
-        RuntimeConfig::new(cfg.pinned, cfg.cache),
-        SimTransport::default(),
-        cfg.policy,
-        cfg.k,
-    );
-    let _ = clean_vm.run("main", &[]);
-    stats.clean_cycles = clean_vm.runtime().stats().cycles;
     (obs, stats)
 }
 
@@ -689,48 +664,25 @@ pub fn observe_pressure(m: &Module, cfg: &RunConfig) -> (Observation, PressureRu
         .pressure
         .schedule()
         .expect("observe_pressure requires a pressure cell");
-    let mut module = m.clone();
-    optimize(&mut module);
-    let opts = match cfg.pipeline {
-        Pipeline::OptOnly => panic!("pressure cells are far-memory cells"),
-        Pipeline::TrackFm => CompileOptions::trackfm(),
-        Pipeline::Cards => CompileOptions::cards(),
-    };
-    let compiled = match compile(module, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                Observation {
-                    ret: None,
-                    digest: None,
-                    error: Some(format!("compile failed: {e}")),
-                },
-                PressureRunStats::default(),
-            )
-        }
+    assert!(
+        cfg.pipeline != Pipeline::OptOnly,
+        "pressure cells are far-memory cells"
+    );
+    let module = match prepare(m, cfg.pipeline) {
+        Ok(module) => module,
+        Err(obs) => return (obs, PressureRunStats::default()),
     };
     let mut vm = Vm::new(
-        compiled.module.clone(),
+        module.clone(),
         RuntimeConfig::new(cfg.pinned, cfg.cache).with_pressure(PressureConfig::governed()),
         SimTransport::default(),
         cfg.policy,
         cfg.k,
     );
     vm.runtime_mut().set_pressure_schedule(sched);
-    let obs = match vm.run("main", &[]) {
-        Ok(ret) => Observation {
-            ret,
-            digest: vm.global_u64("digest"),
-            error: None,
-        },
-        Err(e) => Observation {
-            ret: None,
-            digest: None,
-            error: Some(e.to_string()),
-        },
-    };
+    let obs = observe_run(&mut vm);
     let g = vm.runtime().stats();
-    let mut stats = PressureRunStats {
+    let stats = PressureRunStats {
         pressure_high_crossings: g.pressure_high_crossings,
         proactive_evictions: g.proactive_evictions,
         phase_changes: g.pressure_phase_changes,
@@ -740,17 +692,8 @@ pub fn observe_pressure(m: &Module, cfg: &RunConfig) -> (Observation, PressureRu
         spills: g.spill_reads + g.spill_writes,
         pin_starvations: g.pin_starvations,
         pressured_cycles: g.cycles,
-        clean_cycles: 0,
+        clean_cycles: clean_cycles(module, cfg),
     };
-    let mut clean_vm = Vm::new(
-        compiled.module,
-        RuntimeConfig::new(cfg.pinned, cfg.cache),
-        SimTransport::default(),
-        cfg.policy,
-        cfg.k,
-    );
-    let _ = clean_vm.run("main", &[]);
-    stats.clean_cycles = clean_vm.runtime().stats().cycles;
     (obs, stats)
 }
 

@@ -40,11 +40,11 @@ pub use fleet::{
 };
 pub use model::NetworkModel;
 pub use prng::SplitMix64;
-pub use replica::ReplicaConfig;
+pub use replica::{ReplicaConfig, MAX_SHIP_LAG};
 pub use sharded::{ShardedClient, ShardedConfig, ShardedServer, ShardedStats, StallGuard};
 pub use stats::NetStats;
 pub use transport::{FaultEvents, Fetched, NetError, ObjKey, SimTransport, Transport};
-pub use wiretap::{TraceContext, WireDir, WireOp, WireRecord, WireTap};
+pub use wiretap::{TraceContext, WireDir, WireOp, WireRecord, WireTap, DEFAULT_TAP_CAPACITY};
 
 /// The single-server shape ([`ShardedConfig::single_server`]: one
 /// unreplicated shard on its own thread, one-object trains) is the plain

@@ -9,7 +9,7 @@
 //! (trains, removes, durability barriers), so the backup replays the
 //! same envelope trains the writeback path batches. Shipping is
 //! asynchronous but bounded: the primary stalls once
-//! `shipped - applied` exceeds [`ReplicaConfig::max_ship_lag`], and a
+//! `shipped - applied` exceeds [`MAX_SHIP_LAG`], and a
 //! flush barrier waits for the backup to fully catch up before acking —
 //! so an acked flush means both replicas hold the data, and the
 //! client-side runtime journal always covers the un-replicated window.
@@ -53,15 +53,16 @@ use std::time::Duration;
 use crate::fleet::{FleetEvent, FleetEventLog};
 use crate::transport::ObjKey;
 
+/// Max ship epochs the backup may lag before the primary blocks new writes
+/// on it catching up.
+pub const MAX_SHIP_LAG: u64 = 8;
+
 /// Replication knobs for the sharded tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicaConfig {
     /// Replicas per shard (1 = unreplicated, 2 = primary + backup; values
     /// above 2 are clamped — shipping is pairwise, not chained).
     pub replicas: usize,
-    /// Max ship epochs the backup may lag before the primary blocks new
-    /// writes on it catching up.
-    pub max_ship_lag: u64,
     /// Race a hedged read against the backup if the primary has not
     /// answered within this window (None = never hedge). First response
     /// wins; a primary win counts as `hedge_wasted`.
@@ -76,7 +77,6 @@ impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
             replicas: 2,
-            max_ship_lag: 8,
             hedge_after: None,
             health_timeout: None,
         }
@@ -255,7 +255,6 @@ impl ReplicaSet {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn replica_loop(
     shard: u32,
     my_idx: usize,
@@ -264,7 +263,6 @@ pub(crate) fn replica_loop(
     shared: Arc<ReplicaShared>,
     counters: Arc<SharedCounters>,
     events: Arc<FleetEventLog>,
-    cfg: ReplicaConfig,
 ) {
     let store = &shared.stores[my_idx];
     let mut resident = 0u64;
@@ -272,7 +270,7 @@ pub(crate) fn replica_loop(
     // drop order on crash, mirroring ChaosTransport).
     let mut unacked: BTreeSet<ObjKey> = BTreeSet::new();
 
-    // Ship one journal delta to the standby, bounded by max_ship_lag.
+    // Ship one journal delta to the standby, bounded by MAX_SHIP_LAG.
     // Only the active replica ships; a send failure retires the peer and
     // closes the epoch gap so barriers stay consistent.
     let ship = |peer: &mut Option<(usize, SyncSender<ReplicaRequest>)>, delta: ShipDelta| {
@@ -308,7 +306,7 @@ pub(crate) fn replica_loop(
             epoch,
         });
         while shared.shipped.load(Ordering::SeqCst) - shared.applied.load(Ordering::SeqCst)
-            > cfg.max_ship_lag
+            > MAX_SHIP_LAG
         {
             if !shared.alive[peer_idx].load(Ordering::SeqCst) {
                 break;

@@ -72,6 +72,7 @@ use crate::fleet::{
 use crate::model::NetworkModel;
 use crate::replica::{
     replica_loop, ReplicaConfig, ReplicaRequest, ReplicaResponse, ReplicaSet, SharedCounters,
+    MAX_SHIP_LAG,
 };
 use crate::stats::NetStats;
 use crate::transport::{FaultEvents, Fetched, NetError, ObjKey, Transport};
@@ -91,12 +92,6 @@ pub struct ShardedConfig {
     /// Max unacknowledged trains per shard before a put blocks on the
     /// oldest ack (the outstanding-request window).
     pub window: usize,
-    /// Per-client [`WireTap`] ring capacity (0 disables retention; drops
-    /// are still counted per op).
-    pub tap_capacity: usize,
-    /// Per-client [`ServerSpanLog`] capacity (overflowing spans fold
-    /// their cycles into the residue).
-    pub span_log_capacity: usize,
     /// Replication / failover / hedging knobs.
     pub replica: ReplicaConfig,
 }
@@ -107,8 +102,6 @@ impl Default for ShardedConfig {
             shards: 4,
             train_len: 8,
             window: 4,
-            tap_capacity: DEFAULT_TAP_CAPACITY,
-            span_log_capacity: DEFAULT_SPAN_LOG_CAPACITY,
             replica: ReplicaConfig::default(),
         }
     }
@@ -259,20 +252,10 @@ impl ShardedServer {
                         let shared = Arc::clone(&shared);
                         let counters = Arc::clone(&counters);
                         let events = Arc::clone(&events);
-                        let replica_cfg = cfg.replica;
                         let join = std::thread::Builder::new()
                             .name(format!("cards-shard-{shard}-r{r}"))
                             .spawn(move || {
-                                replica_loop(
-                                    shard as u32,
-                                    r,
-                                    rx,
-                                    peer,
-                                    shared,
-                                    counters,
-                                    events,
-                                    replica_cfg,
-                                )
+                                replica_loop(shard as u32, r, rx, peer, shared, counters, events)
                             })
                             .expect("spawn shard replica");
                         Mutex::new(Some(join))
@@ -322,8 +305,8 @@ impl ShardedServer {
             stats: NetStats::default(),
             pending_faults: Cell::new(FaultEvents::default()),
             ctx: TraceContext::NONE,
-            tap: WireTap::new(self.cfg.tap_capacity),
-            slog: ServerSpanLog::new(self.cfg.span_log_capacity),
+            tap: WireTap::new(DEFAULT_TAP_CAPACITY),
+            slog: ServerSpanLog::new(DEFAULT_SPAN_LOG_CAPACITY),
             incidents: RefCell::new(Vec::new()),
         }
     }
@@ -714,13 +697,15 @@ impl ShardedClient {
                             Err(())
                         }
                         Err(RecvTimeoutError::Timeout) => {
-                            // Hedge gate: only race the backup while no
-                            // failover has ever fenced the shard and the
+                            // Hedge gate: only race the backup while none of
+                            // this client's trains to the shard is unacked,
+                            // no failover has ever fenced the shard, and the
                             // backup has consumed every shipped epoch —
                             // then its answer cannot be stale for a
                             // single-writer keyspace.
                             let backup = (active + 1) % set.txs.len();
-                            let safe = set.shared.fencing_epoch.load(Ordering::SeqCst) == 0
+                            let safe = set.window.is_empty()
+                                && set.shared.fencing_epoch.load(Ordering::SeqCst) == 0
                                 && set.shared.backup_caught_up()
                                 && set.shared.alive[backup].load(Ordering::SeqCst);
                             let hedged = safe
@@ -875,9 +860,17 @@ impl ShardedClient {
         }
         self.tap
             .record(WireDir::Send, op, key.ds, key.index, 0, true, self.ctx);
-        let fetched = self
-            .direct_fetch(shard, key)
-            .unwrap_or_else(|| self.coalesced_fetch(key));
+        // Read-your-writes: with one of its own trains to the shard still
+        // unacked, a client sends its own fetch down its FIFO channel
+        // (behind that train) instead of joining another client's
+        // in-flight fetch, which may have been queued before the train.
+        let fetched = self.direct_fetch(shard, key).unwrap_or_else(|| {
+            if self.shards[shard].window.is_empty() {
+                self.coalesced_fetch(key)
+            } else {
+                self.wire_fetch(key)
+            }
+        });
         let bytes = match fetched {
             Ok(b) => b,
             Err(e) => {
@@ -1028,7 +1021,7 @@ impl ShardedClient {
         }
         let shipped = self.shards[shard].shared.shipped.load(Ordering::SeqCst);
         let applied = self.shards[shard].shared.applied.load(Ordering::SeqCst);
-        if shipped.saturating_sub(applied) > self.cfg.replica.max_ship_lag {
+        if shipped.saturating_sub(applied) > MAX_SHIP_LAG {
             // Interleaving-dependent observation (feeds stats/triggers,
             // never asserted): replication is at or past its lag bound.
             self.note_fault(|ev| ev.lag_breach += 1);
@@ -1583,6 +1576,85 @@ mod tests {
     }
 
     #[test]
+    fn hedge_never_serves_a_read_behind_own_unacked_train() {
+        let srv = ShardedServer::spawn(
+            ShardedConfig {
+                shards: 1,
+                train_len: 1,
+                replica: ReplicaConfig {
+                    hedge_after: Some(Duration::from_millis(5)),
+                    ..ReplicaConfig::default()
+                },
+                ..ShardedConfig::default()
+            },
+            NetworkModel::default(),
+        );
+        let mut c = srv.client();
+        c.put(key(0, 0), &[1u8; 64]).unwrap();
+        c.flush().unwrap();
+        // v2 departs as a one-object train and queues at the stalled
+        // primary; the caught-up backup still holds v1.
+        let gate = srv.stall_shard(0);
+        c.put(key(0, 0), &[2u8; 64]).unwrap();
+        assert_eq!(c.shards[0].window.len(), 1);
+        let counters = Arc::clone(&srv.counters);
+        let reader = std::thread::spawn(move || c.fetch(key(0, 0)).map(|f| f.bytes));
+        while counters.wire_fetches.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        // Well past the hedge delay: a hedge would have answered by now.
+        std::thread::sleep(Duration::from_millis(100));
+        gate.release();
+        assert_eq!(reader.join().unwrap(), Ok(vec![2u8; 64]));
+        assert_eq!(srv.sharded_stats().hedged_fetches, 0);
+    }
+
+    #[test]
+    fn coalesce_never_joins_a_read_behind_own_unacked_train() {
+        let srv = ShardedServer::spawn(
+            ShardedConfig {
+                shards: 1,
+                train_len: 1,
+                ..ShardedConfig::default()
+            },
+            NetworkModel::default(),
+        );
+        let mut setup = srv.client();
+        setup.put(key(0, 0), &[1u8; 64]).unwrap();
+        setup.flush().unwrap();
+        let gate = srv.stall_shard(0);
+        // A leads a fetch of v1 that queues at the stalled primary.
+        let mut a = srv.client();
+        let counters = Arc::clone(&srv.counters);
+        let ta = std::thread::spawn(move || a.fetch(key(0, 0)).map(|f| f.bytes));
+        while counters.wire_fetches.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        // A counts its wire fetch just before sending it; the pause lets
+        // the send land first so that, before the fix, B had a stale
+        // leader to follow. The fixed path passes for either order.
+        std::thread::sleep(Duration::from_millis(20));
+        // B's train carrying v2 queues behind A's fetch; B's own read must
+        // queue behind that train rather than follow A.
+        let mut b = srv.client();
+        b.put(key(0, 0), &[2u8; 64]).unwrap();
+        assert_eq!(b.shards[0].window.len(), 1);
+        let tb = std::thread::spawn(move || b.fetch(key(0, 0)).map(|f| f.bytes));
+        while counters.wire_fetches.load(Ordering::Relaxed)
+            + counters.coalesced_hits.load(Ordering::Relaxed)
+            < 2
+        {
+            std::thread::yield_now();
+        }
+        gate.release();
+        // A is concurrent with B's write: either version is a valid read.
+        let a_read = ta.join().unwrap().unwrap();
+        assert!(a_read == vec![1u8; 64] || a_read == vec![2u8; 64]);
+        assert_eq!(tb.join().unwrap(), Ok(vec![2u8; 64]));
+        assert_eq!(srv.sharded_stats().coalesced_hits, 0);
+    }
+
+    #[test]
     fn window_bounds_outstanding_trains() {
         let srv = ShardedServer::spawn(
             ShardedConfig {
@@ -1710,7 +1782,6 @@ mod tests {
         let srv = ShardedServer::spawn(
             ShardedConfig {
                 shards: 1,
-                tap_capacity: 4,
                 ..ShardedConfig::default()
             },
             NetworkModel::default(),
@@ -1718,12 +1789,12 @@ mod tests {
         let mut c = srv.client();
         let ctx = TraceContext { trace: 5, span: 1 };
         c.set_trace_context(ctx);
-        for i in 0..8u64 {
+        for i in 0..DEFAULT_TAP_CAPACITY as u64 {
             c.put(key(0, i), &[1u8; 32]).unwrap();
         }
         c.flush().unwrap();
         let tap = c.wire_tap().unwrap();
-        assert_eq!(tap.len(), 4, "ring stays at its configured cap");
+        assert_eq!(tap.len(), DEFAULT_TAP_CAPACITY, "ring stays at its cap");
         assert!(tap.dropped() > 0);
         assert!(
             tap.dropped_of(WireOp::Put) > 0,

@@ -71,7 +71,7 @@ pub struct FaultEvents {
     /// configured bound (back-pressure stalls on an outstanding train).
     pub queue_buildup: u64,
     /// Train departures that observed the primary→backup journal lag over
-    /// the configured `max_ship_lag` (replication falling behind).
+    /// [`crate::replica::MAX_SHIP_LAG`] (replication falling behind).
     pub lag_breach: u64,
 }
 

@@ -54,6 +54,24 @@ impl Default for CostModel {
     }
 }
 
+/// Max objects a single prefetch batch may pull.
+pub const PREFETCH_BATCH: usize = 8;
+
+/// First-retry backoff in modeled cycles; doubles per attempt
+/// (equal-jitter exponential backoff, deterministic).
+pub const BACKOFF_BASE: u64 = 1_000;
+
+/// Backoff ceiling in modeled cycles.
+pub const BACKOFF_CAP: u64 = 128_000;
+
+/// Consecutive failed attempts on one DS before its circuit breaker opens
+/// (the DS is demoted to pinned-local until a cooldown re-probe succeeds).
+pub const BREAKER_THRESHOLD: u32 = 8;
+
+/// Modeled cycles an open breaker waits before letting one half-open probe
+/// through.
+pub const BREAKER_COOLDOWN: u64 = 2_000_000;
+
 /// Local-memory budgets and behavioural switches.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RuntimeConfig {
@@ -63,30 +81,12 @@ pub struct RuntimeConfig {
     pub remotable_bytes: u64,
     /// Software cycle costs.
     pub costs: CostModel,
-    /// If true, an unguarded access to a non-resident object is an error
-    /// (the compiler failed its safety obligation). If false the runtime
-    /// localizes on demand, charging the full remote cost.
-    pub strict_guards: bool,
     /// Max retries for transient transport faults before giving up.
     pub max_retries: u32,
-    /// First-retry backoff in modeled cycles; doubles per attempt
-    /// (equal-jitter exponential backoff, deterministic).
-    pub backoff_base: u64,
-    /// Backoff ceiling in modeled cycles.
-    pub backoff_cap: u64,
-    /// Consecutive failed attempts on one DS before its circuit breaker
-    /// opens (the DS is demoted to pinned-local until a cooldown re-probe
-    /// succeeds). 0 disables the breaker.
-    pub breaker_threshold: u32,
-    /// Modeled cycles an open breaker waits before letting one half-open
-    /// probe through.
-    pub breaker_cooldown: u64,
     /// Flush (acknowledge) writebacks to the server every N journaled puts;
     /// journal entries are only dropped once a flush succeeds. 0 disables
     /// journaling (and flushes) entirely.
     pub journal_flush_every: u32,
-    /// Max objects a single prefetch batch may pull.
-    pub prefetch_batch: usize,
     /// Telemetry collection knobs (event ring, histograms, epochs).
     pub telemetry: TelemetryConfig,
     /// Memory-pressure governor knobs (watermark sweeps, thrashing
@@ -104,14 +104,8 @@ impl RuntimeConfig {
             pinned_bytes,
             remotable_bytes,
             costs: CostModel::cards(),
-            strict_guards: true,
             max_retries: 16,
-            backoff_base: 1_000,
-            backoff_cap: 128_000,
-            breaker_threshold: 8,
-            breaker_cooldown: 2_000_000,
             journal_flush_every: 16,
-            prefetch_batch: 8,
             telemetry: TelemetryConfig::default(),
             pressure: PressureConfig::default(),
             trace: TraceConfig::default(),
@@ -124,18 +118,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Builder-style: toggle strict guard checking.
-    pub fn with_strict_guards(mut self, strict: bool) -> Self {
-        self.strict_guards = strict;
-        self
-    }
-
-    /// Builder-style: prefetch batch limit.
-    pub fn with_prefetch_batch(mut self, n: usize) -> Self {
-        self.prefetch_batch = n;
-        self
-    }
-
     /// Builder-style: telemetry knobs.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
@@ -145,20 +127,6 @@ impl RuntimeConfig {
     /// Builder-style: retry budget for transient transport faults.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
-        self
-    }
-
-    /// Builder-style: exponential backoff base and cap (modeled cycles).
-    pub fn with_backoff(mut self, base: u64, cap: u64) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Builder-style: circuit-breaker trip threshold and cooldown.
-    pub fn with_breaker(mut self, threshold: u32, cooldown: u64) -> Self {
-        self.breaker_threshold = threshold;
-        self.breaker_cooldown = cooldown;
         self
     }
 
@@ -210,13 +178,8 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = RuntimeConfig::new(10, 20)
-            .with_costs(CostModel::trackfm())
-            .with_strict_guards(false)
-            .with_prefetch_batch(4);
+        let c = RuntimeConfig::new(10, 20).with_costs(CostModel::trackfm());
         assert_eq!(c.total_local(), 30);
         assert_eq!(c.costs, CostModel::trackfm());
-        assert!(!c.strict_guards);
-        assert_eq!(c.prefetch_batch, 4);
     }
 }

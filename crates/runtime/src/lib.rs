@@ -61,6 +61,7 @@ pub(crate) fn align_up(v: u64, align: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{BACKOFF_BASE, BACKOFF_CAP, BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use cards_net::{NetworkModel, SimTransport};
 
     fn rt(pinned: u64, remotable: u64) -> FarMemRuntime<SimTransport> {
@@ -149,19 +150,6 @@ mod tests {
         let mut buf = [0u8; 8];
         let e = r.read(p0, &mut buf).unwrap_err();
         assert!(matches!(e, RtError::MissingGuard { .. }));
-    }
-
-    #[test]
-    fn non_strict_mode_localizes_on_demand() {
-        let cfg = RuntimeConfig::new(0, 4096).with_strict_guards(false);
-        let mut r = FarMemRuntime::new(cfg, SimTransport::default());
-        let h = r.register_ds(DsSpec::simple("a"), StaticHint::Remotable);
-        let (p0, _) = r.ds_alloc(h, 4096).unwrap();
-        r.write_u64(p0, 7).unwrap();
-        let _ = r.ds_alloc(h, 4096).unwrap(); // evicts p0
-        let (v, c) = r.read_u64(p0).unwrap();
-        assert_eq!(v, 7);
-        assert!(c > 40_000); // paid the remote cost
     }
 
     #[test]
@@ -344,10 +332,7 @@ mod tests {
         let obj = 64u64;
         let n = 64u64;
         let build = |kind: PrefetchKind| {
-            let mut r = FarMemRuntime::new(
-                RuntimeConfig::new(0, 8 * obj).with_prefetch_batch(4),
-                SimTransport::default(),
-            );
+            let mut r = FarMemRuntime::new(RuntimeConfig::new(0, 8 * obj), SimTransport::default());
             let spec = DsSpec::simple("list")
                 .with_object_bytes(obj)
                 .with_elem(16, vec![8])
@@ -411,8 +396,9 @@ mod tests {
     #[test]
     fn breaker_trail_closed_open_half_open_closed() {
         use cards_net::{ChaosPhase, ChaosSchedule, ChaosTransport, ScheduledPhase};
-        // Two healthy ops (the evacuation puts), a 5-op partition that trips
-        // the breaker mid-fetch, then healthy forever.
+        // Two healthy ops (the evacuation puts), a partition that trips the
+        // breaker mid-fetch and outlasts its cooldown, then healthy forever.
+        let partition = 4 * BREAKER_THRESHOLD;
         let sched = ChaosSchedule {
             phases: vec![
                 ScheduledPhase {
@@ -421,7 +407,7 @@ mod tests {
                 },
                 ScheduledPhase {
                     phase: ChaosPhase::Partition,
-                    ops: 5,
+                    ops: partition as u64,
                 },
                 ScheduledPhase {
                     phase: ChaosPhase::Healthy,
@@ -432,8 +418,7 @@ mod tests {
             seed: 1,
         };
         let cfg = RuntimeConfig::new(0, 1 << 20)
-            .with_breaker(3, 50_000)
-            .with_max_retries(16)
+            .with_max_retries(partition)
             .with_journal(0);
         let mut r = FarMemRuntime::new(cfg, ChaosTransport::new(sched));
         let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
@@ -443,8 +428,9 @@ mod tests {
         r.evacuate(p1).unwrap(); // op 1
         assert_eq!(r.breaker_state(h), Some("closed"));
 
-        // Fetch of p0 rides out the partition; failures 1..=3 trip the
-        // breaker, so the localized object lands pinned (degraded mode).
+        // Fetch of p0 rides out the partition; failures
+        // 1..=BREAKER_THRESHOLD trip the breaker, so the localized object
+        // lands pinned (degraded mode).
         r.guard(p0, Access::Read, 8).unwrap();
         assert_eq!(r.breaker_state(h), Some("open"));
         assert_eq!(r.ds_stats(h).unwrap().breaker_trips, 1);
@@ -453,7 +439,7 @@ mod tests {
         // By now the retry pricing has pushed the clock past the cooldown:
         // the next remote op is the half-open probe, it succeeds, and the
         // breaker closes and releases its pins.
-        assert!(r.now() >= 50_000);
+        assert!(r.now() >= BREAKER_COOLDOWN);
         r.guard(p1, Access::Read, 8).unwrap();
         assert_eq!(r.breaker_state(h), Some("closed"));
         assert_eq!(r.pinned_used(), 0, "breaker pins released on close");
@@ -704,9 +690,8 @@ mod tests {
             .collect();
         assert!(!backoffs.is_empty());
         for (attempt, b) in &backoffs {
-            let cap = r.config().backoff_cap;
-            assert!(*b <= cap, "attempt {attempt}: backoff {b} over cap");
-            assert!(*b >= r.config().backoff_base / 2, "equal-jitter floor");
+            assert!(*b <= BACKOFF_CAP, "attempt {attempt}: backoff {b} over cap");
+            assert!(*b >= BACKOFF_BASE / 2, "equal-jitter floor");
         }
     }
 

@@ -7,6 +7,7 @@
 
 use cards_net::SplitMix64;
 
+use crate::pressure::THRASH_THRESHOLD;
 use crate::spec::{DsSpec, StaticHint};
 
 /// The remoting policies evaluated in Figures 4–8 of the paper.
@@ -208,7 +209,7 @@ impl HintChange {
 ///    until the tier fits. Budget correctness overrides the hysteresis
 ///    guard, so `eligible` is ignored here.
 /// 2. **Thrash-driven promotion** — the hottest thrashing DS (miss +
-///    eviction velocity ≥ `thrash_threshold`, eligible, not already
+///    eviction velocity ≥ [`THRASH_THRESHOLD`], eligible, not already
 ///    pinned, with resident bytes to pin) is promoted if its resident set
 ///    fits the pinned budget, demoting strictly-colder eligible pinned
 ///    tenants to make room. "Strictly colder" uses a 2× velocity margin,
@@ -217,11 +218,7 @@ impl HintChange {
 ///
 /// Deterministic: every ordering is a total order over the input values
 /// and handles. Returns demotions before promotions (free, then spend).
-pub fn reassign_hints_online(
-    loads: &[DsLoad],
-    pinned_budget: u64,
-    thrash_threshold: u64,
-) -> Vec<HintChange> {
+pub fn reassign_hints_online(loads: &[DsLoad], pinned_budget: u64) -> Vec<HintChange> {
     let mut changes: Vec<HintChange> = Vec::new();
     let mut pinned_used: u64 = loads.iter().map(|l| l.pinned_bytes).sum();
     let mut demoted: Vec<u16> = Vec::new();
@@ -256,7 +253,7 @@ pub fn reassign_hints_online(
             l.eligible
                 && l.pinned_bytes == 0
                 && l.resident_bytes > 0
-                && l.miss_velocity.saturating_add(l.eviction_velocity) >= thrash_threshold.max(1)
+                && l.miss_velocity.saturating_add(l.eviction_velocity) >= THRASH_THRESHOLD
         })
         .collect();
     thrashers.sort_by_key(|l| {
@@ -295,9 +292,7 @@ pub fn reassign_hints_online(
                 handle: t.handle,
                 why: format!(
                     "thrash: miss+eviction velocity {}/epoch >= {}, soft-pinning {}B resident",
-                    vel,
-                    thrash_threshold.max(1),
-                    t.resident_bytes
+                    vel, THRASH_THRESHOLD, t.resident_bytes
                 ),
             });
         }
@@ -422,7 +417,7 @@ mod tests {
     #[test]
     fn resolve_is_a_no_op_when_nothing_is_wrong() {
         let loads = [load(0, 4096, 0, 0, 0, 50), load(1, 0, 4096, 1, 0, 10)];
-        assert!(reassign_hints_online(&loads, 1 << 20, 8).is_empty());
+        assert!(reassign_hints_online(&loads, 1 << 20).is_empty());
     }
 
     #[test]
@@ -433,7 +428,7 @@ mod tests {
             load(1, 4096, 0, 0, 0, 1),
             load(2, 4096, 0, 0, 0, 50),
         ];
-        let ch = reassign_hints_online(&loads, 4096, 8);
+        let ch = reassign_hints_online(&loads, 4096);
         let handles: Vec<u16> = ch.iter().map(|c| c.handle()).collect();
         assert_eq!(handles, vec![1, 2], "coldest (ds1) then ds2; ds0 stays");
         assert!(ch
@@ -445,14 +440,14 @@ mod tests {
     fn forced_demotions_ignore_the_cooldown_guard() {
         let mut l = load(0, 8192, 0, 0, 0, 9);
         l.eligible = false;
-        let ch = reassign_hints_online(&[l], 0, 8);
+        let ch = reassign_hints_online(&[l], 0);
         assert_eq!(ch.len(), 1, "budget correctness beats hysteresis");
     }
 
     #[test]
     fn thrasher_is_promoted_when_it_fits() {
         let loads = [load(0, 0, 8192, 10, 5, 2)];
-        let ch = reassign_hints_online(&loads, 1 << 20, 8);
+        let ch = reassign_hints_online(&loads, 1 << 20);
         assert_eq!(ch.len(), 1);
         assert!(
             matches!(&ch[0], HintChange::Promote { handle: 0, why } if why.contains("thrash")),
@@ -463,11 +458,11 @@ mod tests {
     #[test]
     fn promotion_respects_cooldown_and_threshold() {
         // Below threshold: nothing.
-        assert!(reassign_hints_online(&[load(0, 0, 8192, 3, 2, 0)], 1 << 20, 8).is_empty());
+        assert!(reassign_hints_online(&[load(0, 0, 8192, 3, 2, 0)], 1 << 20).is_empty());
         // Hot but inside cooldown: nothing (the anti-flap guard).
         let mut l = load(0, 0, 8192, 10, 10, 0);
         l.eligible = false;
-        assert!(reassign_hints_online(&[l], 1 << 20, 8).is_empty());
+        assert!(reassign_hints_online(&[l], 1 << 20).is_empty());
     }
 
     #[test]
@@ -475,14 +470,14 @@ mod tests {
         // Thrasher at velocity 20; pinned tenant at hit velocity 15 is
         // inside the 2x margin, so it must NOT be sacrificed.
         let warm = [load(0, 4096, 0, 0, 0, 15), load(1, 0, 4096, 12, 8, 0)];
-        let ch = reassign_hints_online(&warm, 4096, 8);
+        let ch = reassign_hints_online(&warm, 4096);
         assert!(
             ch.is_empty(),
             "no strictly-colder victim -> no change: {ch:?}"
         );
         // Same shape with a cold tenant (2*5 <= 20): swap happens.
         let cold = [load(0, 4096, 0, 0, 0, 5), load(1, 0, 4096, 12, 8, 0)];
-        let ch = reassign_hints_online(&cold, 4096, 8);
+        let ch = reassign_hints_online(&cold, 4096);
         assert_eq!(ch.len(), 2);
         assert!(matches!(&ch[0], HintChange::Demote { handle: 0, .. }));
         assert!(matches!(&ch[1], HintChange::Promote { handle: 1, .. }));
@@ -495,7 +490,7 @@ mod tests {
             load(1, 0, 4096, 20, 0, 0),
             load(2, 0, 4096, 10, 0, 0),
         ];
-        let ch = reassign_hints_online(&loads, 1 << 20, 8);
+        let ch = reassign_hints_online(&loads, 1 << 20);
         assert_eq!(ch.len(), 1, "gentle governor: one promotion per pass");
         assert_eq!(ch[0].handle(), 0, "hottest thrasher wins");
     }

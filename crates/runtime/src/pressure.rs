@@ -4,62 +4,51 @@
 //! A [`PressureSchedule`] shrinks and restores the runtime's
 //! pinned/remotable budgets mid-run on a deterministic guard-event clock,
 //! the same way `ChaosSchedule` scripts transport faults on an op clock.
-//! A [`PressureConfig`] tunes the governor that has to survive it:
+//! A [`PressureConfig`] switches on the governor that has to survive it:
 //! watermark-driven proactive eviction, the thrashing detector, and the
-//! online re-solve hysteresis.
+//! online re-solve hysteresis, tuned by the constants below.
 
-/// Governor tuning. Carried inside `RuntimeConfig` (so it must stay
+/// Crossing this fraction of the effective remotable budget (percent)
+/// enters the High pressure level and starts batched proactive sweeps.
+pub const HIGH_WATERMARK_PCT: u64 = 90;
+
+/// Dropping to this fraction re-arms the High trigger (hysteresis) and is
+/// the target proactive sweeps drain toward.
+pub const LOW_WATERMARK_PCT: u64 = 70;
+
+/// Max evictions per proactive sweep: batching instead of evict-on-miss
+/// storms.
+pub const EVICT_BATCH: u64 = 32;
+
+/// A DS whose per-epoch miss+eviction velocity reaches this value is
+/// considered thrashing and becomes a promotion candidate.
+pub const THRASH_THRESHOLD: u64 = 8;
+
+/// Epochs a DS (and the governor globally) must wait between hint changes
+/// — the anti-flap guard.
+pub const RESOLVE_COOLDOWN_EPOCHS: u64 = 4;
+
+/// Pin-starvation relief shrinks the recent-guard window down to this
+/// floor; evicted recently-guarded objects stay reachable through the
+/// spill set, so this may be below the guard-elimination window.
+pub const MIN_GUARD_WINDOW: usize = 2;
+
+/// Governor switch. Carried inside `RuntimeConfig` (so it must stay
 /// `Copy`); `Default` leaves the governor disabled so healthy-path runs
 /// are byte-identical to previous releases — opt in with
 /// [`PressureConfig::governed`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PressureConfig {
     /// Master switch for watermark sweeps and the thrashing detector.
     /// Pressure *schedules* and the spill path work regardless: budget
     /// correctness is not optional.
     pub enabled: bool,
-    /// Crossing this fraction of the effective remotable budget (percent)
-    /// enters the High pressure level and starts batched proactive sweeps.
-    pub high_watermark_pct: u32,
-    /// Dropping to this fraction re-arms the High trigger (hysteresis) and
-    /// is the target proactive sweeps drain toward.
-    pub low_watermark_pct: u32,
-    /// Max evictions per proactive sweep: batching instead of
-    /// evict-on-miss storms.
-    pub evict_batch: u32,
-    /// A DS whose per-epoch miss+eviction velocity reaches this value is
-    /// considered thrashing and becomes a promotion candidate.
-    pub thrash_threshold: u64,
-    /// Epochs a DS (and the governor globally) must wait between hint
-    /// changes — the anti-flap guard.
-    pub resolve_cooldown_epochs: u64,
-    /// Pin-starvation relief shrinks the recent-guard window down to this
-    /// floor; evicted recently-guarded objects stay reachable through the
-    /// spill set, so this may be below the guard-elimination window.
-    pub min_guard_window: usize,
-}
-
-impl Default for PressureConfig {
-    fn default() -> Self {
-        PressureConfig {
-            enabled: false,
-            high_watermark_pct: 90,
-            low_watermark_pct: 70,
-            evict_batch: 32,
-            thrash_threshold: 8,
-            resolve_cooldown_epochs: 4,
-            min_guard_window: 2,
-        }
-    }
 }
 
 impl PressureConfig {
-    /// The default governor, switched on.
+    /// The governor, switched on.
     pub fn governed() -> Self {
-        PressureConfig {
-            enabled: true,
-            ..PressureConfig::default()
-        }
+        PressureConfig { enabled: true }
     }
 }
 
@@ -268,6 +257,6 @@ mod tests {
         assert!(!PressureConfig::default().enabled);
         let g = PressureConfig::governed();
         assert!(g.enabled);
-        assert!(g.low_watermark_pct < g.high_watermark_pct);
+        const { assert!(LOW_WATERMARK_PCT < HIGH_WATERMARK_PCT) };
     }
 }

@@ -11,11 +11,10 @@
 //! `u32` indices here; `cards_vm::profile` joins these counters back
 //! against the `SiteTable` for reports.
 //!
-//! Costs incurred while no site is current — e.g. non-strict `access_bytes`
-//! misses from unguarded accesses, or runtime-internal writebacks — land in
-//! a dedicated *unattributed* bucket, so the per-site totals plus the
-//! unattributed bucket always sum to the per-DS totals (a difftest/test
-//! invariant).
+//! Costs incurred while no site is current — e.g. runtime-internal
+//! writebacks — land in a dedicated *unattributed* bucket, so the per-site
+//! totals plus the unattributed bucket always sum to the per-DS totals (a
+//! difftest/test invariant).
 //!
 //! Everything is saturating and driven by the deterministic modeled clock:
 //! identical runs produce byte-identical profiles.

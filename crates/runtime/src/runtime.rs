@@ -15,11 +15,16 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use cards_net::{NetError, ObjKey, SplitMix64, Transport};
 
-use crate::config::RuntimeConfig;
+use crate::config::{
+    RuntimeConfig, BACKOFF_BASE, BACKOFF_CAP, BREAKER_COOLDOWN, BREAKER_THRESHOLD, PREFETCH_BATCH,
+};
 use crate::farptr::FarPtr;
 use crate::policy::{reassign_hints_online, DsLoad, HintChange};
 use crate::prefetch::{build_prefetcher, PrefetchTarget, Prefetcher};
-use crate::pressure::PressureSchedule;
+use crate::pressure::{
+    PressureSchedule, EVICT_BATCH, HIGH_WATERMARK_PCT, LOW_WATERMARK_PCT, MIN_GUARD_WINDOW,
+    RESOLVE_COOLDOWN_EPOCHS, THRASH_THRESHOLD,
+};
 use crate::profile::SiteProfiler;
 use crate::spec::{DsSpec, StaticHint};
 use crate::stats::{DsStats, RuntimeStats};
@@ -209,8 +214,8 @@ pub struct FarMemRuntime<T: Transport> {
     /// evicted anyway (starvation relief, proactive sweep), it enters
     /// `spill_ok` so elided guards stay sound.
     guard_history: VecDeque<(u16, u64)>,
-    /// Objects that may be accessed directly against the remote tier even
-    /// in strict mode: a guard ran but localization could not fit them, or
+    /// Objects that may be accessed directly against the remote tier
+    /// without being resident: a guard ran but localization could not fit them, or
     /// their DS was governor-demoted after guards were compiled away.
     /// Only membership is queried (never iterated), so HashSet order
     /// cannot leak into behaviour.
@@ -870,7 +875,7 @@ impl<T: Transport> FarMemRuntime<T> {
     fn prefetch_budget(&mut self, dsi: usize) -> usize {
         let object_bytes = self.ds[dsi].spec.object_bytes;
         let cap = (self.effective_remotable_budget() / object_bytes.max(1) / 2) as usize;
-        let base = self.cfg.prefetch_batch.min(cap);
+        let base = PREFETCH_BATCH.min(cap);
         let s = &mut self.ds[dsi].stats;
         if s.prefetch_issued < 32 {
             return base;
@@ -1015,15 +1020,10 @@ impl<T: Transport> FarMemRuntime<T> {
     /// modeled cycles. Deterministic: the jitter is seeded by the op
     /// identity, so identical runs back off identically.
     fn backoff_for(&self, key: ObjKey, attempt: u32, write: bool) -> u64 {
-        if self.cfg.backoff_base == 0 {
-            return 0;
-        }
         let exp = attempt.saturating_sub(1).min(32);
-        let capped = self
-            .cfg
-            .backoff_base
+        let capped = BACKOFF_BASE
             .checked_mul(1u64 << exp)
-            .map_or(self.cfg.backoff_cap, |v| v.min(self.cfg.backoff_cap));
+            .map_or(BACKOFF_CAP, |v| v.min(BACKOFF_CAP));
         let seed = (key.ds as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ key.index.rotate_left(17)
             ^ ((attempt as u64) << 1)
@@ -1416,7 +1416,7 @@ impl<T: Transport> FarMemRuntime<T> {
     /// half-open probe (this attempt decides its fate).
     fn breaker_pre_op(&mut self, handle: u16) {
         let dsi = handle as usize;
-        if self.cfg.breaker_threshold == 0 || dsi >= self.ds.len() {
+        if dsi >= self.ds.len() {
             return;
         }
         if let BreakerState::Open { until } = self.ds[dsi].breaker {
@@ -1439,7 +1439,7 @@ impl<T: Transport> FarMemRuntime<T> {
 
     fn breaker_on_success(&mut self, handle: u16) {
         let dsi = handle as usize;
-        if self.cfg.breaker_threshold == 0 || dsi >= self.ds.len() {
+        if dsi >= self.ds.len() {
             return;
         }
         self.ds[dsi].breaker_failures = 0;
@@ -1462,15 +1462,15 @@ impl<T: Transport> FarMemRuntime<T> {
 
     fn breaker_on_failure(&mut self, handle: u16) {
         let dsi = handle as usize;
-        if self.cfg.breaker_threshold == 0 || dsi >= self.ds.len() {
+        if dsi >= self.ds.len() {
             return;
         }
         match self.ds[dsi].breaker {
             BreakerState::Closed => {
                 self.ds[dsi].breaker_failures += 1;
-                if self.ds[dsi].breaker_failures >= self.cfg.breaker_threshold {
+                if self.ds[dsi].breaker_failures >= BREAKER_THRESHOLD {
                     self.ds[dsi].breaker = BreakerState::Open {
-                        until: self.stats.cycles + self.cfg.breaker_cooldown,
+                        until: self.stats.cycles + BREAKER_COOLDOWN,
                     };
                     self.ds[dsi].stats.breaker_trips += 1;
                     self.tracer
@@ -1491,7 +1491,7 @@ impl<T: Transport> FarMemRuntime<T> {
             BreakerState::HalfOpen => {
                 // The probe failed: back to open for another cooldown.
                 self.ds[dsi].breaker = BreakerState::Open {
-                    until: self.stats.cycles + self.cfg.breaker_cooldown,
+                    until: self.stats.cycles + BREAKER_COOLDOWN,
                 };
                 self.tracer
                     .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "half_open->open");
@@ -1641,12 +1641,8 @@ impl<T: Transport> FarMemRuntime<T> {
             // window (never below the soundness floor; evicted guards fall
             // into the spill set via the shadow history) and retry.
             let pin_blocked = !self.clock.is_empty();
-            if relief
-                && !relieved
-                && pin_blocked
-                && self.recent_guards.len() > self.cfg.pressure.min_guard_window
-            {
-                let floor = self.cfg.pressure.min_guard_window;
+            if relief && !relieved && pin_blocked && self.recent_guards.len() > MIN_GUARD_WINDOW {
+                let floor = MIN_GUARD_WINDOW;
                 while self.recent_guards.len() > floor {
                     self.recent_guards.pop_front();
                 }
@@ -1778,9 +1774,9 @@ impl<T: Transport> FarMemRuntime<T> {
 
     // ---- data access ----
 
-    /// Read `buf.len()` bytes at `ptr`. The object(s) must be resident
-    /// unless `strict_guards` is off (then they are localized on demand at
-    /// full cost). Returns cycles charged (copying is free in the model;
+    /// Read `buf.len()` bytes at `ptr`. The object(s) must be resident (or
+    /// spill-permitted): an unguarded access to a non-resident object is a
+    /// [`RtError::MissingGuard`]. Returns cycles charged (copying is free in the model;
     /// the VM charges its own per-access cost).
     pub fn read(&mut self, ptr: FarPtr, buf: &mut [u8]) -> Result<u64, RtError> {
         self.access_bytes(
@@ -1848,27 +1844,14 @@ impl<T: Transport> FarMemRuntime<T> {
             let chunk = (obj_bytes - within).min(len - done);
             // Residency check. Non-resident objects with a spill permit
             // (oversize, pin-starved, or governor-demoted after guard
-            // elision) are served directly against the remote tier — legal
-            // even in strict mode, because a guard did run for them.
-            let mut spill = false;
-            if !matches!(self.ds[dsi].objects.get(&idx), Some(ObjState::Local { .. })) {
-                if self.spill_ok.contains(&(handle, idx)) {
-                    spill = true;
-                } else if self.cfg.strict_guards {
-                    return Err(RtError::MissingGuard {
-                        ds: handle,
-                        index: idx,
-                    });
-                } else {
-                    self.ds[dsi].stats.misses += 1;
-                    self.stats.derefs_remote += 1;
-                    let (c, resident) = self.localize(handle, idx)?;
-                    // Usually unattributed (no guard ran); the profiler's
-                    // catch-all bucket keeps site sums == DS sums.
-                    self.profiler.on_miss(c);
-                    cycles += c;
-                    spill = !resident;
-                }
+            // elision) are served directly against the remote tier — legal,
+            // because a guard did run for them.
+            let spill = !matches!(self.ds[dsi].objects.get(&idx), Some(ObjState::Local { .. }));
+            if spill && !self.spill_ok.contains(&(handle, idx)) {
+                return Err(RtError::MissingGuard {
+                    ds: handle,
+                    index: idx,
+                });
             }
             let r = within as usize..(within + chunk) as usize;
             let b = done as usize..(done + chunk) as usize;
@@ -2077,8 +2060,8 @@ impl<T: Transport> FarMemRuntime<T> {
             return Ok(());
         }
         let budget = self.effective_remotable_budget();
-        let high = budget.saturating_mul(self.cfg.pressure.high_watermark_pct as u64) / 100;
-        let low = budget.saturating_mul(self.cfg.pressure.low_watermark_pct as u64) / 100;
+        let high = budget.saturating_mul(HIGH_WATERMARK_PCT) / 100;
+        let low = budget.saturating_mul(LOW_WATERMARK_PCT) / 100;
         if !self.pressure_high && self.remotable_used > high {
             self.pressure_high = true;
             self.stats.pressure_high_crossings =
@@ -2096,16 +2079,16 @@ impl<T: Transport> FarMemRuntime<T> {
     }
 
     /// Batched proactive eviction: drain the remotable tier toward the low
-    /// watermark, at most `evict_batch` evictions per sweep, using the same
+    /// watermark, at most [`EVICT_BATCH`] evictions per sweep, using the same
     /// skip/second-chance rules as demand eviction.
     fn proactive_sweep(&mut self) -> Result<(), RtError> {
         let budget = self.effective_remotable_budget();
-        let low = budget.saturating_mul(self.cfg.pressure.low_watermark_pct as u64) / 100;
+        let low = budget.saturating_mul(LOW_WATERMARK_PCT) / 100;
         let mut cycles = 0u64;
         let mut evicted = 0u64;
         let mut freed = 0u64;
         let mut scanned = 0usize;
-        while self.remotable_used > low && evicted < self.cfg.pressure.evict_batch as u64 {
+        while self.remotable_used > low && evicted < EVICT_BATCH {
             let Some((h, idx)) = self.clock.pop_front() else {
                 break;
             };
@@ -2183,13 +2166,11 @@ impl<T: Transport> FarMemRuntime<T> {
             self.hit_vel[dsi] = (self.hit_vel[dsi] + dh) / 2;
             self.prev_epoch_stats[dsi] = *s;
         }
-        let cooldown = self.cfg.pressure.resolve_cooldown_epochs;
-        if self.gov_epochs.saturating_sub(self.last_resolve_epoch) < cooldown {
+        if self.gov_epochs.saturating_sub(self.last_resolve_epoch) < RESOLVE_COOLDOWN_EPOCHS {
             return;
         }
-        let threshold = self.cfg.pressure.thrash_threshold.max(1);
         let thrashing = (0..self.ds.len())
-            .any(|i| self.miss_vel[i].saturating_add(self.evict_vel[i]) >= threshold);
+            .any(|i| self.miss_vel[i].saturating_add(self.evict_vel[i]) >= THRASH_THRESHOLD);
         if thrashing {
             self.run_resolve();
         }
@@ -2199,11 +2180,7 @@ impl<T: Transport> FarMemRuntime<T> {
     /// whatever hint changes come back.
     fn run_resolve(&mut self) {
         let loads = self.build_loads();
-        let changes = reassign_hints_online(
-            &loads,
-            self.cfg.pinned_bytes,
-            self.cfg.pressure.thrash_threshold,
-        );
+        let changes = reassign_hints_online(&loads, self.cfg.pinned_bytes);
         let (mut demoted, mut promoted) = (0u64, 0u64);
         for ch in changes {
             match ch {
@@ -2267,7 +2244,7 @@ impl<T: Transport> FarMemRuntime<T> {
                 use_score: ds.spec.priority.use_score,
                 eligible: self.last_change_epoch[dsi] == u64::MAX
                     || self.gov_epochs.saturating_sub(self.last_change_epoch[dsi])
-                        >= self.cfg.pressure.resolve_cooldown_epochs,
+                        >= RESOLVE_COOLDOWN_EPOCHS,
             });
         }
         loads

@@ -715,8 +715,9 @@ impl Telemetry {
 
 // ---- exporters ----
 
-/// Append `s` JSON-escaped (quotes included) to `out`.
-fn json_str(out: &mut String, s: &str) {
+/// Append `s` JSON-escaped (quotes included) to `out`. Every exporter
+/// routes its strings through here.
+pub fn json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -37,6 +37,33 @@ use cards_net::TraceContext;
 
 use crate::telemetry::Histogram;
 
+/// An operation whose total is at least this multiple of the rolling p99
+/// baseline fires the `p99_spike` anomaly.
+pub const P99_SPIKE_MULT: u64 = 8;
+
+/// Minimum completed remote operations before the p99 baseline is
+/// considered meaningful (no spike detection below this).
+pub const P99_WINDOW: u64 = 64;
+
+/// Failover leaves across the last [`FAILOVER_STORM_WINDOW`] completed
+/// remote operations at (or above) which the `failover_storm` anomaly
+/// fires — a shard ping-ponging through takeovers.
+pub const FAILOVER_STORM_THRESHOLD: u64 = 3;
+
+/// Rolling window (in completed remote operations) over which failover
+/// leaves are summed for storm detection.
+pub const FAILOVER_STORM_WINDOW: usize = 32;
+
+/// Max flight snapshots retained (first-N; later triggers are counted but
+/// not snapshotted, keeping memory bounded under a trigger storm).
+pub const MAX_SNAPSHOTS: usize = 4;
+
+/// Max spans recorded in one operation's tree. Spans past the cap are
+/// counted ([`Tracer::dropped_spans`]) and swallowed with their `end`s,
+/// bounding per-operation memory under a retry storm and keeping the `u32`
+/// span ids from ever truncating.
+pub const MAX_SPANS_PER_TREE: usize = 4096;
+
 /// Tracing knobs, carried inside
 /// [`RuntimeConfig`](crate::config::RuntimeConfig).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,27 +75,6 @@ pub struct TraceConfig {
     /// Retry leaves in one operation at (or above) which the
     /// `retry_storm` anomaly fires.
     pub retry_storm_threshold: u32,
-    /// An operation whose total is at least this multiple of the rolling
-    /// p99 baseline fires the `p99_spike` anomaly.
-    pub p99_spike_mult: u64,
-    /// Failover leaves across the last [`TraceConfig::failover_storm_window`]
-    /// completed remote operations at (or above) which the `failover_storm`
-    /// anomaly fires — a shard ping-ponging through takeovers.
-    pub failover_storm_threshold: u32,
-    /// Rolling window (in completed remote operations) over which failover
-    /// leaves are summed for storm detection.
-    pub failover_storm_window: u64,
-    /// Minimum completed remote operations before the p99 baseline is
-    /// considered meaningful (no spike detection below this).
-    pub p99_window: u64,
-    /// Max flight snapshots retained (first-N; later triggers are counted
-    /// but not snapshotted, keeping memory bounded under a trigger storm).
-    pub max_snapshots: usize,
-    /// Max spans recorded in one operation's tree. Spans past the cap are
-    /// counted ([`Tracer::dropped_spans`]) and swallowed with their `end`s,
-    /// bounding per-operation memory under a retry storm and keeping the
-    /// `u32` span ids from ever truncating.
-    pub max_spans_per_tree: usize,
 }
 
 impl Default for TraceConfig {
@@ -77,12 +83,6 @@ impl Default for TraceConfig {
             enabled: true,
             ring_capacity: 64,
             retry_storm_threshold: 8,
-            p99_spike_mult: 8,
-            failover_storm_threshold: 3,
-            failover_storm_window: 32,
-            p99_window: 64,
-            max_snapshots: 4,
-            max_spans_per_tree: 4096,
         }
     }
 }
@@ -393,7 +393,7 @@ pub struct Tracer {
     abandoned: u64,
     /// Rolling baseline of root totals for p99-spike detection.
     root_hist: Histogram,
-    /// Failover-leaf counts of the last `failover_storm_window` completed
+    /// Failover-leaf counts of the last [`FAILOVER_STORM_WINDOW`] completed
     /// remote operations (storm detection), plus their running sum.
     recent_failovers: VecDeque<u32>,
     recent_failover_sum: u64,
@@ -406,9 +406,9 @@ pub struct Tracer {
     unsited: (u64, u64),
     /// All fired triggers, in order.
     triggers: Vec<TraceTrigger>,
-    /// Snapshots taken for the first `max_snapshots` triggers.
+    /// Snapshots taken for the first [`MAX_SNAPSHOTS`] triggers.
     snapshots: Vec<FlightSnapshot>,
-    /// Spans swallowed because a tree hit `max_spans_per_tree`.
+    /// Spans swallowed because a tree hit [`MAX_SPANS_PER_TREE`].
     dropped_spans: u64,
 }
 
@@ -497,9 +497,8 @@ impl Tracer {
         let retries = tree.count_kind(SpanKind::Retry) as u32;
         let failovers = tree.count_kind(SpanKind::Failover) as u32;
         let cross_sum_ok = tree.validate().is_ok();
-        let spike = self.root_hist.count() >= self.cfg.p99_window
-            && self.cfg.p99_spike_mult > 0
-            && total_cycles >= self.root_hist.p99().saturating_mul(self.cfg.p99_spike_mult);
+        let spike = self.root_hist.count() >= P99_WINDOW
+            && total_cycles >= self.root_hist.p99().saturating_mul(P99_SPIKE_MULT);
         self.root_hist.record(total_cycles);
         self.push_tree(tree);
         if self.cfg.retry_storm_threshold > 0 && retries >= self.cfg.retry_storm_threshold {
@@ -514,17 +513,14 @@ impl Tracer {
         // Failover storm: takeovers summed over a rolling window of recent
         // operations — one failover is recovery, repeated failovers are a
         // shard ping-ponging and worth a flight snapshot.
-        if self.cfg.failover_storm_threshold > 0 && self.cfg.failover_storm_window > 0 {
-            self.recent_failovers.push_back(failovers);
-            self.recent_failover_sum += failovers as u64;
-            while self.recent_failovers.len() as u64 > self.cfg.failover_storm_window {
-                let old = self.recent_failovers.pop_front().expect("nonempty");
-                self.recent_failover_sum -= old as u64;
-            }
-            if failovers > 0 && self.recent_failover_sum >= self.cfg.failover_storm_threshold as u64
-            {
-                self.fire("failover_storm", now, trace);
-            }
+        self.recent_failovers.push_back(failovers);
+        self.recent_failover_sum += failovers as u64;
+        while self.recent_failovers.len() > FAILOVER_STORM_WINDOW {
+            let old = self.recent_failovers.pop_front().expect("nonempty");
+            self.recent_failover_sum -= old as u64;
+        }
+        if failovers > 0 && self.recent_failover_sum >= FAILOVER_STORM_THRESHOLD {
+            self.fire("failover_storm", now, trace);
         }
     }
 
@@ -541,7 +537,7 @@ impl Tracer {
         }
         self.materialize();
         let tree = self.cur.as_mut().expect("materialized above");
-        if tree.spans.len() >= self.cfg.max_spans_per_tree {
+        if tree.spans.len() >= MAX_SPANS_PER_TREE {
             // Swallow this span and its matching `end` — same mechanism as
             // an out-of-operation begin.
             self.dropped_spans = self.dropped_spans.saturating_add(1);
@@ -597,7 +593,7 @@ impl Tracer {
         }
         self.materialize();
         let tree = self.cur.as_mut().expect("materialized above");
-        if tree.spans.len() >= self.cfg.max_spans_per_tree {
+        if tree.spans.len() >= MAX_SPANS_PER_TREE {
             self.dropped_spans = self.dropped_spans.saturating_add(1);
             return;
         }
@@ -658,7 +654,7 @@ impl Tracer {
             cycle,
             trace,
         };
-        if self.snapshots.len() < self.cfg.max_snapshots {
+        if self.snapshots.len() < MAX_SNAPSHOTS {
             self.snapshots.push(FlightSnapshot {
                 trigger: trig.clone(),
                 trees: self.ring.iter().cloned().collect(),
@@ -736,7 +732,7 @@ impl Tracer {
     }
 
     /// Spans swallowed because a tree hit
-    /// [`TraceConfig::max_spans_per_tree`].
+    /// [`MAX_SPANS_PER_TREE`].
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
     }
@@ -746,7 +742,7 @@ impl Tracer {
         &self.triggers
     }
 
-    /// Flight snapshots (first [`TraceConfig::max_snapshots`] triggers).
+    /// Flight snapshots (first [`MAX_SNAPSHOTS`] triggers).
     pub fn snapshots(&self) -> &[FlightSnapshot] {
         &self.snapshots
     }
@@ -918,15 +914,15 @@ mod tests {
 
     #[test]
     fn span_cap_swallows_overflow_and_counts_drops() {
-        let mut t = Tracer::new(TraceConfig {
-            max_spans_per_tree: 4,
-            ..Default::default()
-        });
+        let mut t = traced();
         t.op_begin(SpanKind::Guard, 0, 0, None, 0);
-        // Root + 3 children fill the tree; everything past is dropped.
+        // Root + Localize + leaves fill the tree; everything past is dropped.
         t.begin(SpanKind::Localize, 0, 0);
         t.leaf(SpanKind::Wire, 0, 0, 10, 0);
-        t.leaf(SpanKind::Retry, 0, 0, 5, 1); // 4th span: at cap
+        for a in 0..MAX_SPANS_PER_TREE as u32 - 4 {
+            t.leaf(SpanKind::Retry, 0, 0, 0, a);
+        }
+        t.leaf(SpanKind::Retry, 0, 0, 5, 1); // last span: at cap
         for a in 0..20 {
             t.leaf(SpanKind::Retry, 0, 0, 5, a); // dropped
         }
@@ -936,7 +932,7 @@ mod tests {
         t.op_end(50, 50);
         assert_eq!(t.dropped_spans(), 21);
         let tree = t.trees().next().unwrap();
-        assert_eq!(tree.spans.len(), 4);
+        assert_eq!(tree.spans.len(), MAX_SPANS_PER_TREE);
         // The swallowed Evict's `end` must not have closed Localize early:
         // Localize keeps the cycles from its own `end`.
         assert_eq!(tree.spans[1].kind, SpanKind::Localize);
@@ -968,11 +964,7 @@ mod tests {
 
     #[test]
     fn failover_storm_fires_over_a_rolling_window() {
-        let mut t = Tracer::new(TraceConfig {
-            failover_storm_threshold: 3,
-            failover_storm_window: 8,
-            ..Default::default()
-        });
+        let mut t = traced();
         // One failover per op: recovery, not a storm — until the rolling
         // sum reaches the threshold.
         for i in 0..2u64 {
@@ -990,26 +982,23 @@ mod tests {
         assert_eq!(t.triggers()[0].reason, "failover_storm");
         // Quiet ops slide the window until the storm clears; the next
         // lone failover must not re-fire.
-        for i in 3..12u64 {
+        let last = FAILOVER_STORM_WINDOW as u64 + 4;
+        for i in 3..last {
             t.op_begin(SpanKind::Guard, 0, i, None, 0);
             t.leaf(SpanKind::Wire, 0, i, 100, 0);
             t.op_end(100, 0);
         }
-        t.op_begin(SpanKind::Guard, 0, 12, None, 0);
-        t.leaf(SpanKind::Failover, 0, 12, 0, 0);
-        t.leaf(SpanKind::Wire, 0, 12, 100, 0);
+        t.op_begin(SpanKind::Guard, 0, last, None, 0);
+        t.leaf(SpanKind::Failover, 0, last, 0, 0);
+        t.leaf(SpanKind::Wire, 0, last, 100, 0);
         t.op_end(100, 0);
         assert_eq!(t.triggers().len(), 1, "window slid past the old storm");
     }
 
     #[test]
     fn p99_spike_needs_a_baseline() {
-        let mut t = Tracer::new(TraceConfig {
-            p99_window: 4,
-            p99_spike_mult: 4,
-            ..Default::default()
-        });
-        for i in 0..4u64 {
+        let mut t = traced();
+        for i in 0..P99_WINDOW {
             t.op_begin(SpanKind::Guard, 0, i, None, 0);
             t.leaf(SpanKind::Wire, 0, i, 100, 0);
             t.op_end(100, 0);

@@ -42,10 +42,11 @@ use cards_net::{
     FailoverIncident, ServerSpan, ServerSpanLog, ShardGauges, ShardedClient, Transport, WireOp,
     INCIDENT_PHASES,
 };
+use cards_runtime::telemetry::json_str;
 use cards_runtime::{SpanKind, TraceTree};
 
 use crate::interp::Vm;
-use crate::worker::{ServeReport, ServeSpec};
+use crate::worker::{permille, ServeReport, ServeSpec};
 
 /// One worker's slice of the fleet plane, extracted from its live VM
 /// after the final quiesce (while tracer and transport are still
@@ -246,15 +247,6 @@ pub fn check_fleet(report: &ServeReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Exact nearest-rank permille over a sorted slice (p999 needs finer
-/// grain than the percentile helper).
-fn permille(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((p * (sorted.len() as u64 - 1)) / 1000) as usize]
-}
-
 /// Latency classes for the SLO section: every request, then split by
 /// whether the request touched the remote tier.
 fn slo_classes(report: &ServeReport) -> [(&'static str, Vec<u64>); 3] {
@@ -363,11 +355,12 @@ fn depth_hist_json(s: &mut String, h: &cards_net::DepthHist) {
 /// can strip it with the same rule as `BENCH_core.json`.
 pub fn fleet_json(module_name: &str, spec: &ServeSpec, report: &ServeReport) -> String {
     let mut s = String::new();
+    s.push_str("{\"schema\":\"cards-fleet-v1\",\"module\":");
+    json_str(&mut s, module_name);
     let _ = write!(
         s,
-        "{{\"schema\":\"cards-fleet-v1\",\"module\":\"{}\",\"workers\":{},\"shards\":{},\
-         \"replicas\":{},\"tenants\":{},\"ops_per_tenant\":{},\"requests\":{},\"issued\":{}",
-        module_name,
+        ",\"workers\":{},\"shards\":{},\"replicas\":{},\"tenants\":{},\
+         \"ops_per_tenant\":{},\"requests\":{},\"issued\":{}",
         report.workers,
         spec.net.shards,
         spec.net.replica.replicas,

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 
 use cards_ir::{DsMetaId, Site, SiteKind};
 use cards_net::Transport;
-use cards_runtime::telemetry::site_counters_json;
+use cards_runtime::telemetry::{json_str, site_counters_json};
 use cards_runtime::SiteCounters;
 
 use crate::interp::Vm;
@@ -265,25 +265,31 @@ pub fn profile_json<T: Transport>(vm: &Vm<T>) -> String {
     let mut s = String::new();
     let module = vm.module();
     let prof = vm.runtime().profiler();
-    let _ = write!(
-        s,
-        "{{\"module\":\"{}\",\"cycles\":{},\"sites\":[",
-        module.name,
-        vm.metrics().cycles
-    );
+    s.push_str("{\"module\":");
+    json_str(&mut s, &module.name);
+    let _ = write!(s, ",\"cycles\":{},\"sites\":[", vm.metrics().cycles);
     for (i, site) in module.sites.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
         let _ = write!(
             s,
-            "{{\"site\":{},\"kind\":\"{}\",\"func\":\"{}\",\"block\":\"{}\",\"ds\":{},\"ds_name\":\"{}\",\"access\":\"{}\",\"covered_by\":{},\"counters\":",
+            "{{\"site\":{},\"kind\":\"{}\",\"func\":",
             site.id.0,
-            site.kind.name(),
-            site.func_name,
-            site.block_name,
-            site.ds.map(|d| d.0 as i64).unwrap_or(-1),
-            ds_name(vm, site.ds),
+            site.kind.name()
+        );
+        json_str(&mut s, &site.func_name);
+        s.push_str(",\"block\":");
+        json_str(&mut s, &site.block_name);
+        let _ = write!(
+            s,
+            ",\"ds\":{},\"ds_name\":",
+            site.ds.map(|d| d.0 as i64).unwrap_or(-1)
+        );
+        json_str(&mut s, &ds_name(vm, site.ds));
+        let _ = write!(
+            s,
+            ",\"access\":\"{}\",\"covered_by\":{},\"counters\":",
             access_str(site),
             site.covered_by
                 .map(|c| c.0.to_string())
@@ -312,12 +318,11 @@ pub fn profile_json<T: Transport>(vm: &Vm<T>) -> String {
             s.push(',');
         }
         first = false;
+        let _ = write!(s, "{{\"handle\":{},\"meta\":{},\"name\":", h, meta.0);
+        json_str(&mut s, &ds_name(vm, Some(meta)));
         let _ = write!(
             s,
-            "{{\"handle\":{},\"meta\":{},\"name\":\"{}\",\"prefetch_issued\":{},\"prefetch_useful\":{},\"precision\":{:.4},\"recall\":{:.4}}}",
-            h,
-            meta.0,
-            ds_name(vm, Some(meta)),
+            ",\"prefetch_issued\":{},\"prefetch_useful\":{},\"precision\":{:.4},\"recall\":{:.4}}}",
             st.prefetch_issued,
             st.prefetch_useful,
             st.prefetch_accuracy(),

@@ -21,6 +21,7 @@
 use std::fmt::Write as _;
 
 use cards_net::Transport;
+use cards_runtime::telemetry::json_str;
 use cards_runtime::ttrace::{tree_json, trigger_json};
 use cards_runtime::{TraceTree, Tracer};
 
@@ -213,12 +214,9 @@ pub fn ttrace_json<T: Transport>(vm: &Vm<T>) -> String {
     let mut s = String::new();
     let module = vm.module();
     let tr = vm.runtime().tracer();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"cards-ttrace-v1\",\"module\":\"{}\",\"cycles\":{},",
-        module.name,
-        vm.metrics().cycles
-    );
+    s.push_str("{\"schema\":\"cards-ttrace-v1\",\"module\":");
+    json_str(&mut s, &module.name);
+    let _ = write!(s, ",\"cycles\":{},", vm.metrics().cycles);
     let _ = write!(
         s,
         "\"ops\":{{\"remote\":{},\"local\":{},\"abandoned\":{}}},",
@@ -247,11 +245,11 @@ pub fn ttrace_json<T: Transport>(vm: &Vm<T>) -> String {
             s.push(',');
         }
         let site = module.sites.site(cards_ir::SiteId(sid));
-        let _ = write!(
-            s,
-            "{{\"site\":{},\"func\":\"{}\",\"block\":\"{}\",\"ops\":{},\"cycles\":{}}}",
-            sid, site.func_name, site.block_name, ops, cycles
-        );
+        let _ = write!(s, "{{\"site\":{sid},\"func\":");
+        json_str(&mut s, &site.func_name);
+        s.push_str(",\"block\":");
+        json_str(&mut s, &site.block_name);
+        let _ = write!(s, ",\"ops\":{ops},\"cycles\":{cycles}}}");
     }
     let (uops, ucycles) = tr.unsited();
     let _ = write!(
@@ -282,11 +280,9 @@ pub fn flight_json<T: Transport>(vm: &Vm<T>, snapshot: usize) -> Option<String> 
     let tr = vm.runtime().tracer();
     let snap = tr.snapshots().get(snapshot)?;
     let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"cards-flight-v1\",\"module\":\"{}\",\"trigger\":",
-        vm.module().name
-    );
+    s.push_str("{\"schema\":\"cards-flight-v1\",\"module\":");
+    json_str(&mut s, &vm.module().name);
+    s.push_str(",\"trigger\":");
     trigger_json(&mut s, &snap.trigger);
     s.push_str(",\"trees\":[");
     for (i, t) in snap.trees.iter().enumerate() {

@@ -187,11 +187,16 @@ pub struct SerialReport {
 
 /// Exact nearest-rank percentile over a sorted slice.
 fn percentile(sorted: &[u64], p: u64) -> u64 {
+    permille(sorted, p * 10)
+}
+
+/// Exact nearest-rank quantile over a sorted slice, `p` in permille
+/// (`999` is p99.9).
+pub(crate) fn permille(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let idx = (p * (sorted.len() as u64 - 1)) / 100;
-    sorted[idx as usize]
+    sorted[((p * (sorted.len() as u64 - 1)) / 1000) as usize]
 }
 
 /// Run the serving workload concurrently: spawn `spec.workers` VMs over

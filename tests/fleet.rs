@@ -5,7 +5,9 @@
 //! outside the counters region, and the bounded `WireTap` ring's per-op
 //! drop accounting through the sharded client.
 
-use cards_core::net::{NetworkModel, ObjKey, ShardedConfig, ShardedServer, Transport};
+use cards_core::net::{
+    NetworkModel, ObjKey, ShardedConfig, ShardedServer, Transport, DEFAULT_TAP_CAPACITY,
+};
 use cards_core::passes::{compile, CompileOptions};
 use cards_core::runtime::{RemotingPolicy, RuntimeConfig, SpanKind, TraceConfig};
 use cards_core::vm::{check_fleet, extract_fleet, fleet_json, run_serving, ServeSpec, Vm};
@@ -197,29 +199,33 @@ fn identical_runs_export_identical_bytes_outside_counters() {
     );
 }
 
-/// Satellite: the per-client `WireTap` ring is bounded by the configured
-/// capacity and accounts every eviction per wire-op kind.
+/// Satellite: the per-client `WireTap` ring is bounded by
+/// [`DEFAULT_TAP_CAPACITY`] and accounts every eviction per wire-op kind.
 #[test]
 fn wire_tap_ring_is_bounded_with_per_op_drop_accounting() {
-    let mut net = ShardedConfig {
+    let net = ShardedConfig {
         shards: 1,
         train_len: 4,
         window: 4,
         ..ShardedConfig::default()
     };
-    net.tap_capacity = 4;
     let server = ShardedServer::spawn(net, NetworkModel::default());
     let mut c = server.client();
-    for i in 0..16u64 {
+    let n = DEFAULT_TAP_CAPACITY as u64;
+    for i in 0..n {
         c.put(ObjKey { ds: 1, index: i }, &[i as u8; 8])
             .expect("put");
     }
     c.flush().expect("flush");
-    for i in 0..16u64 {
+    for i in 0..n {
         c.fetch(ObjKey { ds: 1, index: i }).expect("fetch");
     }
     let tap = c.wire_tap().expect("sharded client retains a wire tap");
-    assert_eq!(tap.len(), 4, "ring must hold exactly the configured cap");
+    assert_eq!(
+        tap.len(),
+        DEFAULT_TAP_CAPACITY,
+        "ring must hold exactly the cap"
+    );
     assert!(tap.total() >= 32, "every op is recorded: {}", tap.total());
     assert_eq!(
         tap.dropped(),
