@@ -790,13 +790,18 @@ pub struct SeedReport {
     pub divergences: Vec<Divergence>,
 }
 
-/// The profile-determinism cell: compiling the same program twice must
+/// The replay-determinism cell: compiling the same program twice must
 /// yield an identical attribution-site table (site IDs are a function of
 /// the program, not of compile order), and running the two compiles under
-/// the same seed + config must emit byte-identical profile JSON. Any
-/// instability here poisons cross-run profile diffs, so it is checked for
-/// every fuzzed seed alongside the behavioural matrix.
-pub fn check_profile_determinism(m: &Module) -> Result<(), String> {
+/// the same seed + config must emit byte-identical profile JSON and
+/// causal-trace exports (span trees, phase totals, anomaly triggers —
+/// schema `cards-ttrace-v1`), each trace passing [`cards_vm::check_traces`].
+/// Spans are timestamped off the modeled clock and keyed by deterministic
+/// ids, so any wall-clock or iteration-order leak shows up here as a byte
+/// diff; any instability poisons cross-run profile and trace diffs, so it
+/// is checked for every fuzzed seed alongside the behavioural matrix.
+/// Returns one message per failed check.
+pub fn check_replay_determinism(m: &Module) -> Vec<String> {
     let prep = |m: &Module| {
         let mut m = m.clone();
         optimize(&mut m);
@@ -804,13 +809,18 @@ pub fn check_profile_determinism(m: &Module) -> Result<(), String> {
     };
     let c1 = match compile(prep(m), CompileOptions::cards()) {
         Ok(c) => c,
-        // Uncompilable programs have no profile to destabilize.
-        Err(_) => return Ok(()),
+        // Uncompilable programs have no profile or trace to destabilize.
+        Err(_) => return Vec::new(),
     };
-    let c2 = compile(prep(m), CompileOptions::cards()).map_err(|e| format!("recompile: {e}"))?;
-    if c1.module.sites != c2.module.sites {
-        return Err(format!(
-            "site table unstable across recompiles: {} vs {} sites",
+    let c2 = match compile(prep(m), CompileOptions::cards()) {
+        Ok(c) => c,
+        Err(e) => return vec![format!("replay determinism: recompile: {e}")],
+    };
+    let mut errors = Vec::new();
+    let sites_stable = c1.module.sites == c2.module.sites;
+    if !sites_stable {
+        errors.push(format!(
+            "profile determinism: site table unstable across recompiles: {} vs {} sites",
             c1.module.sites.len(),
             c2.module.sites.len()
         ));
@@ -823,53 +833,25 @@ pub fn check_profile_determinism(m: &Module) -> Result<(), String> {
             RemotingPolicy::MaxUse,
             50,
         );
-        // A trapping program must trap (and profile) identically too.
+        // A trapping program must trap, profile and trace identically too.
         let _ = vm.run("main", &[]);
-        cards_vm::profile_json(&vm)
+        let trace = cards_vm::check_traces(&vm).map(|()| cards_vm::ttrace_json(&vm));
+        (cards_vm::profile_json(&vm), trace)
     };
-    let (p1, p2) = (run(c1.module), run(c2.module));
-    if p1 != p2 {
-        return Err("profile output not byte-identical under same-seed replay".into());
-    }
-    Ok(())
-}
-
-/// The trace-determinism cell: the causal-trace export (span trees, phase
-/// totals, anomaly triggers — schema `cards-ttrace-v1`) must be
-/// byte-identical across a recompile and a same-seed faulty replay, just
-/// like the profile. Spans are timestamped off the modeled clock and keyed
-/// by deterministic ids, so any wall-clock or iteration-order leak in the
-/// tracer shows up here as a byte diff.
-pub fn check_trace_determinism(m: &Module) -> Result<(), String> {
-    let prep = |m: &Module| {
-        let mut m = m.clone();
-        optimize(&mut m);
-        m
-    };
-    let c1 = match compile(prep(m), CompileOptions::cards()) {
-        Ok(c) => c,
-        // Uncompilable programs have no trace to destabilize.
-        Err(_) => return Ok(()),
-    };
-    let c2 = compile(prep(m), CompileOptions::cards()).map_err(|e| format!("recompile: {e}"))?;
-    let run = |module: Module| {
-        let mut vm = Vm::new(
-            module,
-            RuntimeConfig::new(0, 6 * 4096),
-            FaultyTransport::new(SimTransport::default(), 0.2, 0xfa17),
-            RemotingPolicy::MaxUse,
-            50,
+    let ((p1, t1), (p2, t2)) = (run(c1.module), run(c2.module));
+    if sites_stable && p1 != p2 {
+        errors.push(
+            "profile determinism: profile output not byte-identical under same-seed replay".into(),
         );
-        // A trapping program must trace identically too.
-        let _ = vm.run("main", &[]);
-        cards_vm::check_traces(&vm)?;
-        Ok::<String, String>(cards_vm::ttrace_json(&vm))
-    };
-    let (t1, t2) = (run(c1.module)?, run(c2.module)?);
-    if t1 != t2 {
-        return Err("trace export not byte-identical under same-seed replay".into());
     }
-    Ok(())
+    match (t1, t2) {
+        (Err(e), _) | (_, Err(e)) => errors.push(format!("trace determinism: {e}")),
+        (Ok(t1), Ok(t2)) if t1 != t2 => errors.push(
+            "trace determinism: trace export not byte-identical under same-seed replay".into(),
+        ),
+        _ => {}
+    }
+    errors
 }
 
 /// Remove the `"counters":{...}` span (the single interleaving-dependent
@@ -1000,7 +982,7 @@ pub fn check_fleet_determinism() -> Result<(), String> {
 }
 
 /// Compare `m` against the oracle under every cell of [`config_matrix`],
-/// plus the profile- and trace-determinism cells.
+/// plus the replay-determinism cell.
 pub fn check_module(m: &Module, seed: u64) -> SeedReport {
     let oracle = observe_oracle(m);
     let mut divergences = Vec::new();
@@ -1010,41 +992,24 @@ pub fn check_module(m: &Module, seed: u64) -> SeedReport {
             divergences.push(Divergence { config: cfg, got });
         }
     }
-    if let Err(e) = check_profile_determinism(m) {
+    // Both replay checks run the one cell this config describes.
+    let replay_cell = RunConfig {
+        pipeline: Pipeline::Cards,
+        policy: RemotingPolicy::MaxUse,
+        fault: fault_schedules()[1],
+        chaos: ChaosSpec::None,
+        pressure: PressureSpec::None,
+        pinned: 0,
+        cache: 6 * 4096,
+        k: 50,
+    };
+    for error in check_replay_determinism(m) {
         divergences.push(Divergence {
-            config: RunConfig {
-                pipeline: Pipeline::Cards,
-                policy: RemotingPolicy::MaxUse,
-                fault: fault_schedules()[1],
-                chaos: ChaosSpec::None,
-                pressure: PressureSpec::None,
-                pinned: 0,
-                cache: 6 * 4096,
-                k: 50,
-            },
+            config: replay_cell,
             got: Observation {
                 ret: None,
                 digest: None,
-                error: Some(format!("profile determinism: {e}")),
-            },
-        });
-    }
-    if let Err(e) = check_trace_determinism(m) {
-        divergences.push(Divergence {
-            config: RunConfig {
-                pipeline: Pipeline::Cards,
-                policy: RemotingPolicy::MaxUse,
-                fault: fault_schedules()[1],
-                chaos: ChaosSpec::None,
-                pressure: PressureSpec::None,
-                pinned: 0,
-                cache: 6 * 4096,
-                k: 50,
-            },
-            got: Observation {
-                ret: None,
-                digest: None,
-                error: Some(format!("trace determinism: {e}")),
+                error: Some(error),
             },
         });
     }
@@ -1317,14 +1282,15 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The trace-determinism cell holds on fuzzed programs: recompiling and
-    /// replaying under the same fault seed emits byte-identical
-    /// cards-ttrace-v1 exports.
+    /// The replay-determinism cell holds on fuzzed programs: recompiling
+    /// and replaying under the same fault seed emits byte-identical
+    /// profile and cards-ttrace-v1 exports.
     #[test]
     fn trace_exports_are_replay_deterministic() {
         for seed in [1, 2, 3] {
             let m = generate(seed, GenConfig::adversarial());
-            check_trace_determinism(&m).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let errors = check_replay_determinism(&m);
+            assert!(errors.is_empty(), "seed {seed}: {errors:?}");
         }
     }
 

@@ -28,7 +28,7 @@ use crate::pressure::{
 use crate::profile::SiteProfiler;
 use crate::spec::{DsSpec, StaticHint};
 use crate::stats::{DsStats, RuntimeStats};
-use crate::telemetry::{EventKind, HistPath, Telemetry};
+use crate::telemetry::{DsEpochDelta, EventKind, HistPath, Telemetry};
 use crate::ttrace::{SpanKind, Tracer};
 
 /// Read or write access, for fault-cost selection and dirty tracking.
@@ -142,6 +142,8 @@ struct DsState {
     objects: HashMap<u64, ObjState>,
     prefetcher: Box<dyn Prefetcher>,
     stats: DsStats,
+    /// `stats` at the previous epoch, the base of the epoch deltas.
+    epoch_base: DsStats,
     /// Counter for accuracy-throttled probe prefetches.
     probe_counter: u32,
     /// Circuit-breaker state for this DS.
@@ -233,10 +235,10 @@ pub struct FarMemRuntime<T: Transport> {
     /// Governor pressure level: true between a high-watermark crossing and
     /// the drain back below the low watermark (hysteresis).
     pressure_high: bool,
-    /// Governor epochs elapsed (ticks with the telemetry epoch clock).
+    /// Guard events counted by the runtime epoch clock.
+    guard_events: u64,
+    /// Governor epochs elapsed (ticks with the runtime epoch clock).
     gov_epochs: u64,
-    /// Per-DS cumulative stats at the previous governor epoch (for deltas).
-    prev_epoch_stats: Vec<DsStats>,
     /// Per-DS decayed per-epoch velocities (miss / eviction / hit).
     miss_vel: Vec<u64>,
     evict_vel: Vec<u64>,
@@ -252,6 +254,16 @@ pub struct FarMemRuntime<T: Transport> {
 /// redundant-guard-elimination pass must keep its reuse window smaller than
 /// this.
 pub const GUARD_PIN_WINDOW: usize = 8;
+
+/// Outcome of one [`FarMemRuntime::clock_hand`] step.
+enum Hand {
+    /// The clock is empty, or only pinned entries are left.
+    Stuck,
+    /// An entry was skipped, given a second chance or dropped as stale.
+    Turned,
+    /// An object was evicted, costing these cycles.
+    Evicted(u64),
+}
 
 impl<T: Transport> FarMemRuntime<T> {
     /// Create a runtime with `cfg` budgets over `transport`.
@@ -282,8 +294,8 @@ impl<T: Transport> FarMemRuntime<T> {
             base_pinned: cfg.pinned_bytes,
             base_remotable: cfg.remotable_bytes,
             pressure_high: false,
+            guard_events: 0,
             gov_epochs: 0,
-            prev_epoch_stats: Vec::new(),
             miss_vel: Vec::new(),
             evict_vel: Vec::new(),
             hit_vel: Vec::new(),
@@ -373,13 +385,13 @@ impl<T: Transport> FarMemRuntime<T> {
             objects: HashMap::new(),
             prefetcher,
             stats: DsStats::default(),
+            epoch_base: DsStats::default(),
             probe_counter: 0,
             breaker: BreakerState::Closed,
             breaker_failures: 0,
             pressure_pinned: false,
             pressure_demoted: false,
         });
-        self.prev_epoch_stats.push(DsStats::default());
         self.miss_vel.push(0);
         self.evict_vel.push(0);
         self.hit_vel.push(0);
@@ -669,9 +681,7 @@ impl<T: Transport> FarMemRuntime<T> {
             );
             self.telemetry.record(HistPath::DerefLocal, c);
             self.tracer.op_end(c, self.stats.cycles);
-            if self.telemetry.guard_tick() {
-                self.snapshot_epoch();
-            }
+            self.epoch_tick();
             return Ok(c);
         }
         // Miss: localize over the network, then prefetch. Prefetchers are
@@ -699,20 +709,41 @@ impl<T: Transport> FarMemRuntime<T> {
         self.profiler.on_miss(cycles);
         self.telemetry.record(HistPath::DerefRemote, cycles);
         self.tracer.op_end(cycles, self.stats.cycles);
-        if self.telemetry.guard_tick() {
-            self.snapshot_epoch();
-        }
+        self.epoch_tick();
         Ok(cycles)
     }
 
-    /// Snapshot every DS's and the transport's cumulative counters into the
-    /// telemetry epoch time-series (deltas are computed by the sink).
-    fn snapshot_epoch(&mut self) {
-        let ds_stats: Vec<DsStats> = self.ds.iter().map(|d| d.stats).collect();
-        let net = self.transport.stats();
-        let cycle = self.stats.cycles;
-        self.telemetry.snapshot(cycle, &ds_stats, net);
-        self.governor_epoch(&ds_stats);
+    /// The runtime epoch clock: one tick per guard event, an epoch every
+    /// `epoch_every` ticks. An epoch computes each DS's counter deltas once
+    /// and feeds them to the telemetry time-series and to the governor's
+    /// thrash detector. The clock runs whether or not telemetry records, so
+    /// observability never changes placement; with both telemetry and the
+    /// governor off, a tick is only the count.
+    fn epoch_tick(&mut self) {
+        let every = self.cfg.telemetry.epoch_every;
+        if every == 0 {
+            return;
+        }
+        self.guard_events += 1;
+        let observed = self.telemetry.enabled() || self.cfg.pressure.enabled;
+        if !observed || !self.guard_events.is_multiple_of(every) {
+            return;
+        }
+        let deltas: Vec<DsEpochDelta> = self
+            .ds
+            .iter_mut()
+            .enumerate()
+            .map(|(i, d)| {
+                let delta = DsEpochDelta::since(i as u16, &d.stats, &d.epoch_base);
+                d.epoch_base = d.stats;
+                delta
+            })
+            .collect();
+        if self.telemetry.enabled() {
+            let net = self.transport.stats();
+            self.telemetry.snapshot(self.stats.cycles, &deltas, net);
+        }
+        self.governor_epoch(&deltas);
     }
 
     /// Mark a resident object referenced (clock bit), dirty on writes, and
@@ -797,7 +828,7 @@ impl<T: Transport> FarMemRuntime<T> {
         );
         cycles += self.cfg.costs.remote_extra;
         // Greedy-recursive prefetchers inspect the payload for pointers.
-        let chased = self.ds[dsi].prefetcher.observe_bytes(idx, &fetched.bytes);
+        let chased = self.ds[dsi].prefetcher.observe_bytes(idx, &fetched);
         // Re-check the breaker *after* the fetch: it may have tripped during
         // the retries. Degraded DSs keep what they localize pinned; a
         // governor-promoted DS gets a soft pin while pinned room remains.
@@ -814,7 +845,7 @@ impl<T: Transport> FarMemRuntime<T> {
         self.ds[dsi].objects.insert(
             idx,
             ObjState::Local {
-                data: fetched.bytes.into_boxed_slice(),
+                data: fetched.into_boxed_slice(),
                 dirty: false,
                 pinned,
                 ref_bit: true,
@@ -961,7 +992,7 @@ impl<T: Transport> FarMemRuntime<T> {
         self.ds[dsi].objects.insert(
             idx,
             ObjState::Local {
-                data: fetched.bytes.into_boxed_slice(),
+                data: fetched.into_boxed_slice(),
                 dirty: false,
                 pinned: false,
                 ref_bit: false,
@@ -1032,8 +1063,8 @@ impl<T: Transport> FarMemRuntime<T> {
         capped / 2 + rng.next_below(capped / 2 + 1)
     }
 
-    /// Book-keep one failed attempt: error classification, breaker feed,
-    /// retry pricing (wasted RTT + backoff wait), and the Retry event.
+    /// Book-keep one failed keyed attempt: error classification, breaker
+    /// feed, retry pricing, and the Retry event.
     fn account_retry(
         &mut self,
         key: ObjKey,
@@ -1044,26 +1075,10 @@ impl<T: Transport> FarMemRuntime<T> {
     ) {
         self.classify_failure(e);
         self.breaker_on_failure(key.ds as u16);
-        self.stats.retries += 1;
-        let rtt = self.transport.rtt_cost();
-        *cycles += rtt;
-        let backoff = self.backoff_for(key, attempt, write);
-        *cycles += backoff;
-        self.stats.backoff_cycles += backoff;
-        self.telemetry.record(HistPath::RetryAttempt, rtt);
-        self.telemetry.record(HistPath::BackoffSleep, backoff);
         if let Some(d) = self.ds.get_mut(key.ds as usize) {
             d.stats.retry_attempts += 1;
         }
-        self.tracer
-            .leaf(SpanKind::Retry, key.ds as u16, key.index, rtt, attempt);
-        self.tracer.leaf(
-            SpanKind::Backoff,
-            key.ds as u16,
-            key.index,
-            backoff,
-            attempt,
-        );
+        let backoff = self.price_retry(key, attempt, write, cycles);
         let cycle = self.stats.cycles;
         self.telemetry.emit(
             cycle,
@@ -1075,6 +1090,24 @@ impl<T: Transport> FarMemRuntime<T> {
                 backoff,
             },
         );
+    }
+
+    /// Price one failed attempt: the wasted RTT plus the backoff wait, as
+    /// cycles, histogram samples and trace leaves. Returns the backoff.
+    fn price_retry(&mut self, key: ObjKey, attempt: u32, write: bool, cycles: &mut u64) -> u64 {
+        self.stats.retries += 1;
+        let rtt = self.transport.rtt_cost();
+        *cycles += rtt;
+        let backoff = self.backoff_for(key, attempt, write);
+        *cycles += backoff;
+        self.stats.backoff_cycles += backoff;
+        self.telemetry.record(HistPath::RetryAttempt, rtt);
+        self.telemetry.record(HistPath::BackoffSleep, backoff);
+        let (ds, index) = (key.ds as u16, key.index);
+        self.tracer.leaf(SpanKind::Retry, ds, index, rtt, attempt);
+        self.tracer
+            .leaf(SpanKind::Backoff, ds, index, backoff, attempt);
+        backoff
     }
 
     /// Drain fault-handling events the transport accumulated (failovers it
@@ -1134,12 +1167,18 @@ impl<T: Transport> FarMemRuntime<T> {
         );
     }
 
-    fn fetch_with_retry(
+    /// The retry loop behind every keyed transport op: breaker probe,
+    /// attempt, fault-event drain, then success bookkeeping, a priced
+    /// retry, or a terminal abort. `op` returns the payload (empty for
+    /// puts and removes) and the wire cycles. A read of an object the
+    /// server lost but the journal still holds is served by replaying it.
+    fn retry_op(
         &mut self,
         key: ObjKey,
-        batched: bool,
+        write: bool,
         cycles: &mut u64,
-    ) -> Result<cards_net::Fetched, RtError> {
+        mut op: impl FnMut(&mut T) -> Result<(Vec<u8>, u64), NetError>,
+    ) -> Result<Vec<u8>, RtError> {
         let ds = key.ds as u16;
         let ctx = self.tracer.context();
         self.transport.set_trace_context(ctx);
@@ -1147,114 +1186,72 @@ impl<T: Transport> FarMemRuntime<T> {
         loop {
             attempts += 1;
             self.breaker_pre_op(ds);
-            let r = if batched {
-                self.transport.fetch_batched(key)
-            } else {
-                self.transport.fetch(key)
-            };
+            let r = op(&mut self.transport);
             self.drain_fault_events(ds, key.index);
             match r {
-                Ok(f) => {
-                    *cycles += f.cycles;
-                    self.tracer.leaf(SpanKind::Wire, ds, key.index, f.cycles, 0);
+                Ok((bytes, c)) => {
+                    *cycles += c;
+                    self.tracer.leaf(SpanKind::Wire, ds, key.index, c, 0);
                     self.note_retried_op(ds, attempts);
                     self.breaker_on_success(ds);
-                    self.check_generation(cycles)?;
-                    return Ok(f);
+                    return Ok(bytes);
                 }
-                Err(NetError::NotFound(_)) => {
-                    // Crash recovery: the server lost the object (dropped
-                    // as unacknowledged in a restart) but the journal still
-                    // has the bytes — re-put them and serve from the
-                    // journal.
-                    if let Some(data) = self.journal.get(&key).cloned() {
-                        let before = *cycles;
-                        // The replay span absorbs the recovery put's wire
-                        // cost (paused: no child Wire leaf), so the
-                        // journal-replay phase owns these cycles.
-                        self.tracer.begin(SpanKind::JournalReplay, ds, key.index);
-                        self.tracer.pause();
-                        let put = self.raw_put_with_retry(key, &data, cycles);
-                        self.tracer.unpause();
-                        self.tracer.end(*cycles - before);
-                        put?;
-                        self.stats.journal_replays += 1;
-                        let cycle = self.stats.cycles;
-                        self.telemetry.emit(
-                            cycle,
-                            EventKind::JournalReplay {
-                                ds,
-                                index: key.index,
-                                bytes: data.len() as u64,
-                            },
-                        );
-                        self.breaker_on_success(ds);
-                        // A lost-but-journaled object usually means the
-                        // server restarted; record the crash and replay the
-                        // rest of the journal now rather than lazily.
-                        self.check_generation(cycles)?;
-                        return Ok(cards_net::Fetched {
-                            bytes: data,
-                            cycles: 0,
-                        });
-                    }
-                    self.emit_net_abort(key, attempts, false);
-                    return Err(RtError::Net(NetError::NotFound(key)));
+                Err(NetError::NotFound(_)) if !write && self.journal.contains_key(&key) => {
+                    // Crash recovery: the server dropped the object as
+                    // unacknowledged in a restart, but the journal still
+                    // has the bytes — re-put them and serve from there.
+                    let data = self.journal[&key].clone();
+                    self.replay_journaled(key, &data, cycles)?;
+                    self.breaker_on_success(ds);
+                    return Ok(data);
                 }
                 Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.account_retry(key, &e, attempts, false, cycles);
+                    self.account_retry(key, &e, attempts, write, cycles);
                 }
                 Err(e) => {
                     if Self::retryable(&e) {
                         self.classify_failure(&e);
                         self.breaker_on_failure(ds);
                     }
-                    self.emit_net_abort(key, attempts, false);
+                    self.emit_net_abort(key, attempts, write);
                     return Err(RtError::Net(e));
                 }
             }
         }
     }
 
-    /// The bare put retry loop: no journaling, no generation check. Used
-    /// both by [`Self::put_with_retry`] and by journal replay itself (which
-    /// must not recurse into the journal).
+    fn fetch_with_retry(
+        &mut self,
+        key: ObjKey,
+        batched: bool,
+        cycles: &mut u64,
+    ) -> Result<Vec<u8>, RtError> {
+        let bytes = self.retry_op(key, false, cycles, |t| {
+            let f = if batched {
+                t.fetch_batched(key)
+            } else {
+                t.fetch(key)
+            }?;
+            Ok((f.bytes, f.cycles))
+        })?;
+        // A lost-but-journaled object usually means the server restarted;
+        // the generation check records the crash and replays the rest of
+        // the journal now rather than lazily.
+        self.check_generation(cycles)?;
+        Ok(bytes)
+    }
+
+    /// The bare put: no journaling, no generation check. Used both by
+    /// [`Self::put_with_retry`] and by journal replay itself (which must
+    /// not recurse into the journal).
     fn raw_put_with_retry(
         &mut self,
         key: ObjKey,
         data: &[u8],
         cycles: &mut u64,
     ) -> Result<(), RtError> {
-        let ds = key.ds as u16;
-        let ctx = self.tracer.context();
-        self.transport.set_trace_context(ctx);
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            self.breaker_pre_op(ds);
-            let r = self.transport.put(key, data);
-            self.drain_fault_events(ds, key.index);
-            match r {
-                Ok(c) => {
-                    *cycles += c;
-                    self.tracer.leaf(SpanKind::Wire, ds, key.index, c, 0);
-                    self.note_retried_op(ds, attempts);
-                    self.breaker_on_success(ds);
-                    return Ok(());
-                }
-                Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.account_retry(key, &e, attempts, true, cycles);
-                }
-                Err(e) => {
-                    if Self::retryable(&e) {
-                        self.classify_failure(&e);
-                        self.breaker_on_failure(ds);
-                    }
-                    self.emit_net_abort(key, attempts, true);
-                    return Err(RtError::Net(e));
-                }
-            }
-        }
+        self.retry_op(key, true, cycles, |t| Ok((Vec::new(), t.put(key, data)?)))
+            .map(drop)
     }
 
     fn put_with_retry(
@@ -1309,16 +1306,7 @@ impl<T: Transport> FarMemRuntime<T> {
                 }
                 Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
                     self.classify_failure(&e);
-                    self.stats.retries += 1;
-                    let rtt = self.transport.rtt_cost();
-                    *cycles += rtt;
-                    let backoff = self.backoff_for(ObjKey { ds: 0, index: 0 }, attempts, true);
-                    *cycles += backoff;
-                    self.stats.backoff_cycles += backoff;
-                    self.telemetry.record(HistPath::RetryAttempt, rtt);
-                    self.telemetry.record(HistPath::BackoffSleep, backoff);
-                    self.tracer.leaf(SpanKind::Retry, 0, 0, rtt, attempts);
-                    self.tracer.leaf(SpanKind::Backoff, 0, 0, backoff, attempts);
+                    self.price_retry(ObjKey { ds: 0, index: 0 }, attempts, true, cycles);
                 }
                 Err(e) => {
                     self.classify_failure(&e);
@@ -1332,37 +1320,8 @@ impl<T: Transport> FarMemRuntime<T> {
 
     /// Retry-tolerant server-side free.
     fn remove_with_retry(&mut self, key: ObjKey, cycles: &mut u64) -> Result<(), RtError> {
-        let ds = key.ds as u16;
-        let ctx = self.tracer.context();
-        self.transport.set_trace_context(ctx);
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            self.breaker_pre_op(ds);
-            let r = self.transport.remove(key);
-            self.drain_fault_events(ds, key.index);
-            match r {
-                Ok(c) => {
-                    *cycles += c;
-                    self.tracer.leaf(SpanKind::Wire, ds, key.index, c, 0);
-                    self.note_retried_op(ds, attempts);
-                    self.breaker_on_success(ds);
-                    self.check_generation(cycles)?;
-                    return Ok(());
-                }
-                Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.account_retry(key, &e, attempts, true, cycles);
-                }
-                Err(e) => {
-                    if Self::retryable(&e) {
-                        self.classify_failure(&e);
-                        self.breaker_on_failure(ds);
-                    }
-                    self.emit_net_abort(key, attempts, true);
-                    return Err(RtError::Net(e));
-                }
-            }
-        }
+        self.retry_op(key, true, cycles, |t| Ok((Vec::new(), t.remove(key)?)))?;
+        self.check_generation(cycles)
     }
 
     /// Detect a server crash/restart (generation bump) and replay every
@@ -1380,27 +1339,38 @@ impl<T: Transport> FarMemRuntime<T> {
         let entries: Vec<(ObjKey, Vec<u8>)> =
             self.journal.iter().map(|(k, v)| (*k, v.clone())).collect();
         for (k, data) in entries {
-            let before = *cycles;
-            // As in the NotFound path: the replay span absorbs the wire
-            // cost so journal-replay cycles are separately accounted.
-            self.tracer
-                .begin(SpanKind::JournalReplay, k.ds as u16, k.index);
-            self.tracer.pause();
-            let put = self.raw_put_with_retry(k, &data, cycles);
-            self.tracer.unpause();
-            self.tracer.end(*cycles - before);
-            put?;
-            self.stats.journal_replays += 1;
-            let cycle = self.stats.cycles;
-            self.telemetry.emit(
-                cycle,
-                EventKind::JournalReplay {
-                    ds: k.ds as u16,
-                    index: k.index,
-                    bytes: data.len() as u64,
-                },
-            );
+            self.replay_journaled(k, &data, cycles)?;
         }
+        Ok(())
+    }
+
+    /// Re-put one journaled payload. The replay span absorbs the put's wire
+    /// cost (paused: no child Wire leaf), so journal-replay cycles are
+    /// accounted separately.
+    fn replay_journaled(
+        &mut self,
+        key: ObjKey,
+        data: &[u8],
+        cycles: &mut u64,
+    ) -> Result<(), RtError> {
+        let before = *cycles;
+        self.tracer
+            .begin(SpanKind::JournalReplay, key.ds as u16, key.index);
+        self.tracer.pause();
+        let put = self.raw_put_with_retry(key, data, cycles);
+        self.tracer.unpause();
+        self.tracer.end(*cycles - before);
+        put?;
+        self.stats.journal_replays += 1;
+        let cycle = self.stats.cycles;
+        self.telemetry.emit(
+            cycle,
+            EventKind::JournalReplay {
+                ds: key.ds as u16,
+                index: key.index,
+                bytes: data.len() as u64,
+            },
+        );
         Ok(())
     }
 
@@ -1412,6 +1382,24 @@ impl<T: Transport> FarMemRuntime<T> {
             .is_some_and(|d| d.breaker != BreakerState::Closed)
     }
 
+    /// Move DS `handle`'s breaker to `to`, recording the `arrow`
+    /// (`"closed->open"` etc.) as a trace leaf and a Breaker event.
+    fn breaker_to(&mut self, handle: u16, to: BreakerState, arrow: &'static str) {
+        let from = self.ds[handle as usize].breaker.name();
+        self.ds[handle as usize].breaker = to;
+        self.tracer
+            .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, arrow);
+        let cycle = self.stats.cycles;
+        self.telemetry.emit(
+            cycle,
+            EventKind::Breaker {
+                ds: handle,
+                from,
+                to: to.name(),
+            },
+        );
+    }
+
     /// Before each remote attempt: an expired open breaker becomes a
     /// half-open probe (this attempt decides its fate).
     fn breaker_pre_op(&mut self, handle: u16) {
@@ -1421,18 +1409,7 @@ impl<T: Transport> FarMemRuntime<T> {
         }
         if let BreakerState::Open { until } = self.ds[dsi].breaker {
             if self.stats.cycles >= until {
-                self.ds[dsi].breaker = BreakerState::HalfOpen;
-                self.tracer
-                    .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "open->half_open");
-                let cycle = self.stats.cycles;
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::Breaker {
-                        ds: handle,
-                        from: "open",
-                        to: "half_open",
-                    },
-                );
+                self.breaker_to(handle, BreakerState::HalfOpen, "open->half_open");
             }
         }
     }
@@ -1444,19 +1421,8 @@ impl<T: Transport> FarMemRuntime<T> {
         }
         self.ds[dsi].breaker_failures = 0;
         if self.ds[dsi].breaker == BreakerState::HalfOpen {
-            self.ds[dsi].breaker = BreakerState::Closed;
-            self.tracer
-                .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "half_open->closed");
-            let cycle = self.stats.cycles;
-            self.telemetry.emit(
-                cycle,
-                EventKind::Breaker {
-                    ds: handle,
-                    from: "half_open",
-                    to: "closed",
-                },
-            );
-            self.breaker_unpin(handle);
+            self.breaker_to(handle, BreakerState::Closed, "half_open->closed");
+            self.unpin_to_clock(handle, true);
         }
     }
 
@@ -1465,55 +1431,31 @@ impl<T: Transport> FarMemRuntime<T> {
         if dsi >= self.ds.len() {
             return;
         }
+        let open = BreakerState::Open {
+            until: self.stats.cycles + BREAKER_COOLDOWN,
+        };
         match self.ds[dsi].breaker {
             BreakerState::Closed => {
                 self.ds[dsi].breaker_failures += 1;
                 if self.ds[dsi].breaker_failures >= BREAKER_THRESHOLD {
-                    self.ds[dsi].breaker = BreakerState::Open {
-                        until: self.stats.cycles + BREAKER_COOLDOWN,
-                    };
                     self.ds[dsi].stats.breaker_trips += 1;
-                    self.tracer
-                        .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "closed->open");
+                    self.breaker_to(handle, open, "closed->open");
                     self.tracer.trigger("breaker_open", self.stats.cycles);
-                    let cycle = self.stats.cycles;
-                    self.telemetry.emit(
-                        cycle,
-                        EventKind::Breaker {
-                            ds: handle,
-                            from: "closed",
-                            to: "open",
-                        },
-                    );
-                    self.breaker_pin_resident(handle);
+                    // Degraded mode: the tripped DS stops generating
+                    // writeback traffic.
+                    self.pin_resident(dsi, true);
                 }
             }
-            BreakerState::HalfOpen => {
-                // The probe failed: back to open for another cooldown.
-                self.ds[dsi].breaker = BreakerState::Open {
-                    until: self.stats.cycles + BREAKER_COOLDOWN,
-                };
-                self.tracer
-                    .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "half_open->open");
-                let cycle = self.stats.cycles;
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::Breaker {
-                        ds: handle,
-                        from: "half_open",
-                        to: "open",
-                    },
-                );
-            }
+            // The probe failed: back to open for another cooldown.
+            BreakerState::HalfOpen => self.breaker_to(handle, open, "half_open->open"),
             BreakerState::Open { .. } => {}
         }
     }
 
-    /// Open transition: pin every resident remotable object of the DS so
-    /// the degraded structure stops generating writeback traffic. Clock
-    /// entries go stale and are dropped on pop.
-    fn breaker_pin_resident(&mut self, handle: u16) {
-        let dsi = handle as usize;
+    /// Pin every unpinned resident object of DS `dsi` (by the breaker, or
+    /// by the governor's soft pin) and move its bytes to the pinned tier.
+    /// Their clock entries go stale and are dropped on pop.
+    fn pin_resident(&mut self, dsi: usize, by_breaker: bool) {
         let mut moved = 0u64;
         for st in self.ds[dsi].objects.values_mut() {
             if let ObjState::Local {
@@ -1524,7 +1466,7 @@ impl<T: Transport> FarMemRuntime<T> {
             } = st
             {
                 *pinned = true;
-                *breaker_pinned = true;
+                *breaker_pinned = by_breaker;
                 moved += data.len() as u64;
             }
         }
@@ -1532,25 +1474,26 @@ impl<T: Transport> FarMemRuntime<T> {
         self.pinned_used += moved;
     }
 
-    /// Close transition: release breaker pins and hand the objects back to
-    /// the clock (sorted for determinism — HashMap order must not leak into
-    /// eviction order).
-    fn breaker_unpin(&mut self, handle: u16) {
-        let dsi = handle as usize;
+    /// Unpin DS `handle`'s breaker-pinned (`by_breaker`) or policy-pinned
+    /// objects and hand them back to the clock, sorted so HashMap order
+    /// cannot leak into eviction order. Returns the bytes moved.
+    fn unpin_to_clock(&mut self, handle: u16, by_breaker: bool) -> u64 {
         let mut moved = 0u64;
         let mut indices = Vec::new();
-        for (idx, st) in self.ds[dsi].objects.iter_mut() {
+        for (idx, st) in self.ds[handle as usize].objects.iter_mut() {
             if let ObjState::Local {
-                pinned,
-                breaker_pinned: bp @ true,
+                pinned: pinned @ true,
+                breaker_pinned,
                 data,
                 ..
             } = st
             {
-                *pinned = false;
-                *bp = false;
-                moved += data.len() as u64;
-                indices.push(*idx);
+                if *breaker_pinned == by_breaker {
+                    *pinned = false;
+                    *breaker_pinned = false;
+                    moved += data.len() as u64;
+                    indices.push(*idx);
+                }
             }
         }
         indices.sort_unstable();
@@ -1559,6 +1502,7 @@ impl<T: Transport> FarMemRuntime<T> {
         for idx in indices {
             self.clock.push_back((handle, idx));
         }
+        moved
     }
 
     /// Effective remotable budget: the configured cache plus any pinned
@@ -1568,6 +1512,52 @@ impl<T: Transport> FarMemRuntime<T> {
     /// `ensure_room(0)` to shrink the cache back under the new budget.
     fn effective_remotable_budget(&self) -> u64 {
         self.cfg.remotable_bytes + self.cfg.pinned_bytes.saturating_sub(self.pinned_used)
+    }
+
+    /// One step of the clock hand, shared by demand eviction and the
+    /// proactive sweep. Recently guarded and scope-pinned objects are
+    /// skipped (`Stuck` once a skip-only scan outlasts the queue), stale
+    /// entries are dropped, a referenced object gets one round of second
+    /// chances, and anything else is evicted. `scanned` carries the scan
+    /// count across steps.
+    fn clock_hand(&mut self, scanned: &mut usize) -> Result<Hand, RtError> {
+        let Some((h, idx)) = self.clock.pop_front() else {
+            return Ok(Hand::Stuck); // nothing evictable at all
+        };
+        if self
+            .recent_guards
+            .iter()
+            .any(|&(rh, ri)| rh == h && ri == idx)
+            || self.scope_pinned(h, idx)
+        {
+            self.clock.push_back((h, idx));
+            *scanned += 1;
+            let wedged = *scanned > 2 * self.clock.len() + 4;
+            return Ok(if wedged { Hand::Stuck } else { Hand::Turned });
+        }
+        let second_chance = match self.ds[h as usize].objects.get_mut(&idx) {
+            Some(ObjState::Local {
+                pinned: false,
+                ref_bit,
+                ..
+            }) => {
+                // One round of second chances, then force-evict to
+                // guarantee progress.
+                if *ref_bit && *scanned < self.clock.len() + 1 {
+                    *ref_bit = false;
+                    true
+                } else {
+                    false
+                }
+            }
+            _ => return Ok(Hand::Turned), // stale entry (evicted, freed, pinned)
+        };
+        *scanned += 1;
+        if second_chance {
+            self.clock.push_back((h, idx));
+            return Ok(Hand::Turned);
+        }
+        Ok(Hand::Evicted(self.evict(h, idx)?))
     }
 
     /// Evict remotable objects (clock algorithm) until `need` more bytes
@@ -1587,54 +1577,13 @@ impl<T: Transport> FarMemRuntime<T> {
         let mut relieved = false;
         let mut starved_emitted = false;
         while self.remotable_used + need > self.effective_remotable_budget() {
-            let mut stuck = false;
-            match self.clock.pop_front() {
-                None => stuck = true, // nothing evictable at all
-                Some((h, idx)) => {
-                    let dsi = h as usize;
-                    // Recently guarded and scope-pinned objects are
-                    // untouchable.
-                    if self
-                        .recent_guards
-                        .iter()
-                        .any(|&(rh, ri)| rh == h && ri == idx)
-                        || self.scope_pinned(h, idx)
-                    {
-                        self.clock.push_back((h, idx));
-                        scanned += 1;
-                        if scanned > 2 * self.clock.len() + 4 {
-                            stuck = true;
-                        }
-                    } else {
-                        // Validate: entry may be stale.
-                        let second_chance = match self.ds[dsi].objects.get_mut(&idx) {
-                            Some(ObjState::Local {
-                                pinned: false,
-                                ref_bit,
-                                ..
-                            }) => {
-                                // Give one round of second chances, then
-                                // force-evict to guarantee progress.
-                                if *ref_bit && scanned < self.clock.len() + 1 {
-                                    *ref_bit = false;
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            _ => continue, // stale entry (evicted, freed, pinned)
-                        };
-                        scanned += 1;
-                        if second_chance {
-                            self.clock.push_back((h, idx));
-                        } else {
-                            cycles += self.evict(h, idx)?;
-                        }
-                    }
+            match self.clock_hand(&mut scanned)? {
+                Hand::Turned => continue,
+                Hand::Evicted(c) => {
+                    cycles += c;
+                    continue;
                 }
-            }
-            if !stuck {
-                continue;
+                Hand::Stuck => {}
             }
             // Eviction is wedged. A guard-pin-saturated clock under real
             // pressure gets one round of relief: shrink the recent-guard
@@ -1642,38 +1591,30 @@ impl<T: Transport> FarMemRuntime<T> {
             // into the spill set via the shadow history) and retry.
             let pin_blocked = !self.clock.is_empty();
             if relief && !relieved && pin_blocked && self.recent_guards.len() > MIN_GUARD_WINDOW {
-                let floor = MIN_GUARD_WINDOW;
-                while self.recent_guards.len() > floor {
+                while self.recent_guards.len() > MIN_GUARD_WINDOW {
                     self.recent_guards.pop_front();
                 }
-                self.stats.pin_starvations = self.stats.pin_starvations.saturating_add(1);
-                let (cycle, used) = (self.stats.cycles, self.remotable_used);
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::PinStarvation {
-                        used,
-                        window: floor,
-                    },
-                );
+                self.pin_starved();
                 relieved = true;
                 starved_emitted = true;
                 scanned = 0;
                 continue;
             }
             if self.cfg.pressure.enabled && pin_blocked && !starved_emitted {
-                self.stats.pin_starvations = self.stats.pin_starvations.saturating_add(1);
-                let (cycle, used) = (self.stats.cycles, self.remotable_used);
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::PinStarvation {
-                        used,
-                        window: self.recent_guards.len(),
-                    },
-                );
+                self.pin_starved();
             }
             return Ok((cycles, false));
         }
         Ok((cycles, true))
+    }
+
+    /// Count a pin-starved eviction sweep and emit its event.
+    fn pin_starved(&mut self) {
+        self.stats.pin_starvations = self.stats.pin_starvations.saturating_add(1);
+        let (cycle, used) = (self.stats.cycles, self.remotable_used);
+        let window = self.recent_guards.len();
+        self.telemetry
+            .emit(cycle, EventKind::PinStarvation { used, window });
     }
 
     /// Write back (if needed) and drop one resident remotable object.
@@ -1865,9 +1806,9 @@ impl<T: Transport> FarMemRuntime<T> {
                 self.tracer.begin(SpanKind::Spill, handle, idx);
                 let mut fetched = self.fetch_with_retry(key, false, &mut cycles)?;
                 cycles += self.cfg.costs.remote_extra;
-                copy(&mut fetched.bytes, r, &mut buf[b]);
+                copy(&mut fetched, r, &mut buf[b]);
                 if write {
-                    self.put_with_retry(key, &fetched.bytes, &mut cycles)?;
+                    self.put_with_retry(key, &fetched, &mut cycles)?;
                     self.stats.spill_writes = self.stats.spill_writes.saturating_add(1);
                 } else {
                     self.stats.spill_reads = self.stats.spill_reads.saturating_add(1);
@@ -2089,47 +2030,16 @@ impl<T: Transport> FarMemRuntime<T> {
         let mut freed = 0u64;
         let mut scanned = 0usize;
         while self.remotable_used > low && evicted < EVICT_BATCH {
-            let Some((h, idx)) = self.clock.pop_front() else {
-                break;
-            };
-            let dsi = h as usize;
-            if self
-                .recent_guards
-                .iter()
-                .any(|&(rh, ri)| rh == h && ri == idx)
-                || self.scope_pinned(h, idx)
-            {
-                self.clock.push_back((h, idx));
-                scanned += 1;
-                if scanned > 2 * self.clock.len() + 4 {
-                    break;
-                }
-                continue;
-            }
-            let second_chance = match self.ds[dsi].objects.get_mut(&idx) {
-                Some(ObjState::Local {
-                    pinned: false,
-                    ref_bit,
-                    ..
-                }) => {
-                    if *ref_bit && scanned < self.clock.len() + 1 {
-                        *ref_bit = false;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                _ => continue, // stale entry
-            };
-            scanned += 1;
-            if second_chance {
-                self.clock.push_back((h, idx));
-                continue;
-            }
             let before = self.remotable_used;
-            cycles += self.evict(h, idx)?;
-            evicted += 1;
-            freed += before.saturating_sub(self.remotable_used);
+            match self.clock_hand(&mut scanned)? {
+                Hand::Stuck => break,
+                Hand::Turned => {}
+                Hand::Evicted(c) => {
+                    cycles += c;
+                    evicted += 1;
+                    freed += before.saturating_sub(self.remotable_used);
+                }
+            }
         }
         if evicted > 0 {
             self.stats.proactive_evictions = self.stats.proactive_evictions.saturating_add(evicted);
@@ -2148,23 +2058,18 @@ impl<T: Transport> FarMemRuntime<T> {
 
     /// One governor epoch: refresh per-DS velocities from the epoch deltas
     /// and re-solve the placement policy if something is thrashing (and the
-    /// global cooldown has expired). Rides the telemetry epoch clock, so it
-    /// costs nothing when telemetry epochs are off.
-    fn governor_epoch(&mut self, ds_stats: &[DsStats]) {
+    /// global cooldown has expired). Rides the runtime epoch clock
+    /// ([`Self::epoch_tick`]); a no-op unless the governor is enabled.
+    fn governor_epoch(&mut self, deltas: &[DsEpochDelta]) {
         if !self.cfg.pressure.enabled {
             return;
         }
         self.gov_epochs += 1;
-        for (dsi, s) in ds_stats.iter().enumerate() {
-            let prev = self.prev_epoch_stats[dsi];
-            let dm = s.misses.saturating_sub(prev.misses);
-            let de = s.evictions.saturating_sub(prev.evictions);
-            let dh = s.hits.saturating_sub(prev.hits);
+        for (dsi, d) in deltas.iter().enumerate() {
             // EWMA with alpha = 1/2: integer-only, decays in a few epochs.
-            self.miss_vel[dsi] = (self.miss_vel[dsi] + dm) / 2;
-            self.evict_vel[dsi] = (self.evict_vel[dsi] + de) / 2;
-            self.hit_vel[dsi] = (self.hit_vel[dsi] + dh) / 2;
-            self.prev_epoch_stats[dsi] = *s;
+            self.miss_vel[dsi] = (self.miss_vel[dsi] + d.misses) / 2;
+            self.evict_vel[dsi] = (self.evict_vel[dsi] + d.evictions) / 2;
+            self.hit_vel[dsi] = (self.hit_vel[dsi] + d.hits) / 2;
         }
         if self.gov_epochs.saturating_sub(self.last_resolve_epoch) < RESOLVE_COOLDOWN_EPOCHS {
             return;
@@ -2262,30 +2167,8 @@ impl<T: Transport> FarMemRuntime<T> {
         let changed_flags = !self.ds[dsi].remotable
             || self.ds[dsi].pressure_pinned
             || !self.ds[dsi].pressure_demoted;
-        let mut moved = 0u64;
-        let mut indices = Vec::new();
-        for (idx, st) in self.ds[dsi].objects.iter_mut() {
-            if let ObjState::Local {
-                pinned: pinned @ true,
-                breaker_pinned: false,
-                data,
-                ..
-            } = st
-            {
-                *pinned = false;
-                moved += data.len() as u64;
-                indices.push(*idx);
-            }
-        }
-        if moved == 0 && !changed_flags {
+        if self.unpin_to_clock(handle, false) == 0 && !changed_flags {
             return false;
-        }
-        // Sorted hand-back: HashMap order must not leak into the clock.
-        indices.sort_unstable();
-        self.pinned_used -= moved;
-        self.remotable_used += moved;
-        for idx in indices {
-            self.clock.push_back((handle, idx));
         }
         let ds = &mut self.ds[dsi];
         ds.remotable = true;
@@ -2313,17 +2196,18 @@ impl<T: Transport> FarMemRuntime<T> {
         if dsi >= self.ds.len() || self.breaker_degraded(dsi) {
             return false;
         }
-        let mut bytes = 0u64;
-        for st in self.ds[dsi].objects.values() {
-            if let ObjState::Local {
-                pinned: false,
-                data,
-                ..
-            } = st
-            {
-                bytes += data.len() as u64;
-            }
-        }
+        let bytes: u64 = self.ds[dsi]
+            .objects
+            .values()
+            .map(|st| match st {
+                ObjState::Local {
+                    pinned: false,
+                    data,
+                    ..
+                } => data.len() as u64,
+                _ => 0,
+            })
+            .sum();
         if self.pinned_used.saturating_add(bytes) > self.cfg.pinned_bytes {
             return false;
         }
@@ -2331,18 +2215,7 @@ impl<T: Transport> FarMemRuntime<T> {
         if bytes == 0 && !changed_flags {
             return false;
         }
-        for st in self.ds[dsi].objects.values_mut() {
-            if let ObjState::Local {
-                pinned: pinned @ false,
-                ..
-            } = st
-            {
-                *pinned = true;
-            }
-        }
-        // Their clock entries go stale and are dropped on pop.
-        self.remotable_used -= bytes;
-        self.pinned_used += bytes;
+        self.pin_resident(dsi, false);
         let ds = &mut self.ds[dsi];
         ds.pressure_pinned = true;
         ds.pressure_demoted = false;
@@ -2437,6 +2310,11 @@ impl<T: Transport> FarMemRuntime<T> {
     /// Mutable tracer — embedders fire their own anomaly triggers.
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
+    }
+
+    /// Guard events counted by the epoch clock (0 when epochs are off).
+    pub fn guard_events(&self) -> u64 {
+        self.guard_events
     }
 
     /// Current modeled cycle clock (the stamp used for telemetry events).

@@ -541,6 +541,21 @@ pub struct DsEpochDelta {
     pub prefetch_useful: u64,
 }
 
+impl DsEpochDelta {
+    /// DS `ds`'s deltas from the cumulative counters `prev` to `cur`.
+    pub(crate) fn since(ds: u16, cur: &DsStats, prev: &DsStats) -> Self {
+        DsEpochDelta {
+            ds,
+            hits: cur.hits.saturating_sub(prev.hits),
+            misses: cur.misses.saturating_sub(prev.misses),
+            evictions: cur.evictions.saturating_sub(prev.evictions),
+            writebacks: cur.writebacks.saturating_sub(prev.writebacks),
+            prefetch_issued: cur.prefetch_issued.saturating_sub(prev.prefetch_issued),
+            prefetch_useful: cur.prefetch_useful.saturating_sub(prev.prefetch_useful),
+        }
+    }
+}
+
 /// One point of the per-epoch time-series: every counter's delta since the
 /// previous epoch.
 #[derive(Clone, Debug, PartialEq)]
@@ -568,9 +583,7 @@ pub struct Telemetry {
     dropped_by_kind: BTreeMap<&'static str, u64>,
     hists: [Histogram; 6],
     epochs: Vec<EpochSnapshot>,
-    guard_events: u64,
     epoch_seq: u64,
-    prev_ds: Vec<DsStats>,
     prev_net: NetStats,
 }
 
@@ -584,9 +597,7 @@ impl Telemetry {
             dropped_by_kind: BTreeMap::new(),
             hists: Default::default(),
             epochs: Vec::new(),
-            guard_events: 0,
             epoch_seq: 0,
-            prev_ds: Vec::new(),
             prev_net: NetStats::default(),
         }
     }
@@ -627,36 +638,13 @@ impl Telemetry {
         }
     }
 
-    /// Count one guard event; true when an epoch snapshot is now due.
-    pub(crate) fn guard_tick(&mut self) -> bool {
-        if !self.cfg.enabled || self.cfg.epoch_every == 0 {
-            return false;
-        }
-        self.guard_events += 1;
-        self.guard_events.is_multiple_of(self.cfg.epoch_every)
-    }
-
-    /// Take an epoch snapshot from cumulative per-DS and network counters,
-    /// storing deltas against the previous snapshot.
-    pub(crate) fn snapshot(&mut self, cycle: u64, ds: &[DsStats], net: NetStats) {
+    /// Record one epoch from the runtime epoch clock: the per-DS deltas it
+    /// computed and the transport's cumulative counters (stored as deltas
+    /// against the previous snapshot). No-op when disabled.
+    pub(crate) fn snapshot(&mut self, cycle: u64, ds: &[DsEpochDelta], net: NetStats) {
         if !self.cfg.enabled {
             return;
         }
-        self.prev_ds.resize(ds.len(), DsStats::default());
-        let deltas = ds
-            .iter()
-            .zip(self.prev_ds.iter())
-            .enumerate()
-            .map(|(i, (cur, prev))| DsEpochDelta {
-                ds: i as u16,
-                hits: cur.hits.saturating_sub(prev.hits),
-                misses: cur.misses.saturating_sub(prev.misses),
-                evictions: cur.evictions.saturating_sub(prev.evictions),
-                writebacks: cur.writebacks.saturating_sub(prev.writebacks),
-                prefetch_issued: cur.prefetch_issued.saturating_sub(prev.prefetch_issued),
-                prefetch_useful: cur.prefetch_useful.saturating_sub(prev.prefetch_useful),
-            })
-            .collect();
         let net_delta = NetStats {
             fetches: net.fetches.saturating_sub(self.prev_net.fetches),
             writebacks: net.writebacks.saturating_sub(self.prev_net.writebacks),
@@ -671,12 +659,11 @@ impl Telemetry {
         };
         let seq = self.epoch_seq;
         self.epoch_seq += 1;
-        self.prev_ds.copy_from_slice(ds);
         self.prev_net = net;
         self.epochs.push(EpochSnapshot {
             seq,
             cycle,
-            ds: deltas,
+            ds: ds.to_vec(),
             net: net_delta,
         });
         self.emit(cycle, EventKind::Epoch { seq });
@@ -705,11 +692,6 @@ impl Telemetry {
     /// The epoch time-series, oldest first.
     pub fn epochs(&self) -> &[EpochSnapshot] {
         &self.epochs
-    }
-
-    /// Total guard events counted (drives the epoch clock).
-    pub fn guard_events(&self) -> u64 {
-        self.guard_events
     }
 }
 
@@ -903,7 +885,7 @@ pub fn export_json<T: Transport>(rt: &FarMemRuntime<T>) -> String {
         s,
         "{{\"clock_cycles\":{},\"guard_events\":{},\"dropped_events\":{},\"dropped_by_kind\":{{",
         g.cycles,
-        tel.guard_events(),
+        rt.guard_events(),
         tel.dropped()
     );
     for (i, (k, n)) in tel.dropped_by_kind().iter().enumerate() {
@@ -1236,8 +1218,7 @@ mod tests {
         let mut t = Telemetry::new(TelemetryConfig::disabled());
         t.emit(1, EventKind::Dispatch { slow: false });
         t.record(HistPath::Fetch, 99);
-        assert!(!t.guard_tick());
-        t.snapshot(5, &[DsStats::default()], NetStats::default());
+        t.snapshot(5, &[DsEpochDelta::default()], NetStats::default());
         assert_eq!(t.events().count(), 0);
         assert_eq!(t.hist(HistPath::Fetch).count(), 0);
         assert!(t.epochs().is_empty());
@@ -1246,6 +1227,7 @@ mod tests {
     #[test]
     fn epoch_snapshots_are_deltas() {
         let mut t = Telemetry::new(TelemetryConfig::default());
+        let s0 = DsStats::default();
         let s1 = DsStats {
             hits: 10,
             misses: 4,
@@ -1253,7 +1235,7 @@ mod tests {
         };
         t.snapshot(
             100,
-            &[s1],
+            &[DsEpochDelta::since(0, &s1, &s0)],
             NetStats {
                 fetches: 4,
                 ..Default::default()
@@ -1266,7 +1248,7 @@ mod tests {
         };
         t.snapshot(
             200,
-            &[s2],
+            &[DsEpochDelta::since(0, &s2, &s1)],
             NetStats {
                 fetches: 9,
                 ..Default::default()

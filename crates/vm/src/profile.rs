@@ -385,10 +385,6 @@ pub fn check_attribution<T: Transport>(vm: &Vm<T>) -> Result<(), String> {
 }
 
 /// Char-safe prefix truncation for table cells.
-fn truncate(s: &str, n: usize) -> String {
-    if s.chars().count() <= n {
-        s.to_string()
-    } else {
-        s.chars().take(n).collect()
-    }
+pub(crate) fn truncate(s: &str, n: usize) -> String {
+    s.chars().take(n).collect()
 }

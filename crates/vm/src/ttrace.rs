@@ -26,6 +26,7 @@ use cards_runtime::ttrace::{tree_json, trigger_json};
 use cards_runtime::{TraceTree, Tracer};
 
 use crate::interp::Vm;
+use crate::profile::truncate;
 
 /// `func/block` site location, or `(no guard executing)` for `None`.
 fn site_location<T: Transport>(vm: &Vm<T>, site: Option<u32>) -> String {
@@ -324,13 +325,4 @@ pub fn check_traces<T: Transport>(vm: &Vm<T>) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Char-safe prefix truncation for table cells.
-fn truncate(s: &str, n: usize) -> String {
-    if s.chars().count() <= n {
-        s.to_string()
-    } else {
-        s.chars().take(n).collect()
-    }
 }

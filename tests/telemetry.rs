@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use cards_core::net::{FaultyTransport, NetworkModel, SimTransport};
 use cards_core::passes::{compile, CompileOptions};
 use cards_core::runtime::telemetry::{export_chrome_trace, export_json, HistPath, TelemetryConfig};
-use cards_core::runtime::{RemotingPolicy, RuntimeConfig};
+use cards_core::runtime::{PressureConfig, RemotingPolicy, RuntimeConfig};
 use cards_core::vm::Vm;
 use cards_core::workloads::kvstore::{self, KvParams};
 
@@ -112,25 +112,59 @@ fn epochs_and_percentiles_are_nontrivial() {
 
 #[test]
 fn disabling_telemetry_does_not_change_results() {
-    let (m, _) = kvstore::build(KvParams {
-        keys: 128,
-        ops: 600,
-    });
-    let c = compile(m, CompileOptions::cards()).expect("compile");
-    let run = |tel: TelemetryConfig| {
-        let cfg = RuntimeConfig::new(0, 8192).with_telemetry(tel);
-        let transport = FaultyTransport::new(SimTransport::new(NetworkModel::default()), 0.2, 7);
-        let mut vm = Vm::new(
-            c.module.clone(),
-            cfg,
-            transport,
+    // (keys, ops, pinned, cache, policy, k, fault rate, governed): the
+    // fault-injected all-remotable run, and a pressure-governed run whose
+    // thrash detector must tick on the epoch clock whether or not
+    // telemetry records.
+    let inputs = [
+        (
+            128,
+            600,
+            0,
+            8192,
             RemotingPolicy::AllRemotable,
             0,
+            0.2,
+            false,
+        ),
+        (
+            512,
+            6000,
+            4 * 4096,
+            4 * 4096,
+            RemotingPolicy::MaxUse,
+            50,
+            0.0,
+            true,
+        ),
+    ];
+    for (keys, ops, pinned, cache, policy, k, fault, governed) in inputs {
+        let (m, _) = kvstore::build(KvParams { keys, ops });
+        let c = compile(m, CompileOptions::cards()).expect("compile");
+        let run = |tel: TelemetryConfig| {
+            let mut cfg = RuntimeConfig::new(pinned, cache).with_telemetry(tel);
+            if governed {
+                cfg = cfg.with_pressure(PressureConfig::governed());
+            }
+            let transport =
+                FaultyTransport::new(SimTransport::new(NetworkModel::default()), fault, 7);
+            let mut vm = Vm::new(c.module.clone(), cfg, transport, policy, k);
+            let r = vm.run("main", &[]).expect("run").unwrap();
+            let s = vm.runtime().stats();
+            (
+                r,
+                s.cycles,
+                s.resolves,
+                s.hint_demotions,
+                s.hint_promotions,
+                s.proactive_evictions,
+            )
+        };
+        let on = run(TelemetryConfig::default());
+        let off = run(TelemetryConfig::disabled());
+        assert_eq!(
+            on, off,
+            "telemetry must be observation-only (governed: {governed})"
         );
-        let r = vm.run("main", &[]).expect("run").unwrap();
-        (r, vm.runtime().stats().cycles)
-    };
-    let on = run(TelemetryConfig::default());
-    let off = run(TelemetryConfig::disabled());
-    assert_eq!(on, off, "telemetry must be observation-only");
+    }
 }
